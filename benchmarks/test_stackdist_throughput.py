@@ -6,11 +6,11 @@ the stack engine at >= 4x.  Metric identity is asserted unconditionally;
 ``REPRO_BENCH_RELAXED=1`` skips only the timing gate.
 
 Each run emits a bench-kind RunRecord into the experiment registry's
-runs root (see ``conftest.bench_runs_root``) and re-derives the repo
-root's ``BENCH_sweep.json`` as a view over every indexed run -- engine
-cell counts, wall seconds, measured speedup, and the full trajectory --
-so ``repro runs trajectory stackdist_sweep`` tracks sweep throughput
-across PRs.
+runs root (see ``conftest.bench_runs_root``) and re-derives
+``BENCH_sweep.json`` in that same runs root as a view over every indexed
+run -- engine cell counts, wall seconds, measured speedup, and the full
+trajectory -- so ``repro runs trajectory stackdist_sweep`` tracks sweep
+throughput across PRs while the working tree stays untouched.
 """
 
 import dataclasses
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import dump_bench_timings  # noqa: E402
+from conftest import bench_runs_root, dump_bench_timings  # noqa: E402
 from repro.engine import (
     STACK_POLICIES,
     log_spaced_fractions,
@@ -37,8 +37,6 @@ SCALE = 0.02
 SEED = 42
 N_CAPACITIES = 8
 MIN_SPEEDUP = 4.0
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
 
 
 @pytest.fixture(scope="module")
@@ -101,8 +99,8 @@ def test_stack_sweep_is_4x_faster_than_des(sweep_inputs):
         )
 
     # One RunRecord through the shared sink; BENCH_sweep.json is then
-    # re-derived from the registry index, so the root file is a pure
-    # view over every indexed bench run (history included).
+    # re-derived from the registry index, so the file is a pure view
+    # over every indexed bench run (history included).
     payload = {
         "des_seconds": round(des_seconds, 3),
         "stack_seconds": round(stack_seconds, 3),
@@ -119,10 +117,10 @@ def test_stack_sweep_is_4x_faster_than_des(sweep_inputs):
     dump_bench_timings(
         {"stackdist_sweep": payload}, configs={"stackdist_sweep": config}
     )
-    from conftest import bench_runs_root
     from repro.registry import refresh_bench_view
 
-    refresh_bench_view(bench_runs_root(), "stackdist_sweep", BENCH_JSON)
+    root = bench_runs_root()
+    refresh_bench_view(root, "stackdist_sweep", Path(root) / "BENCH_sweep.json")
 
     if not RELAXED:
         assert speedup >= MIN_SPEEDUP, (

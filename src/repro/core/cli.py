@@ -843,7 +843,6 @@ def _serve_client(args: argparse.Namespace):
 def _session_command(command):
     """Wrap a session command: server/client errors become exit 1."""
     import functools
-    import urllib.error
 
     @functools.wraps(command)
     def wrapped(args: argparse.Namespace) -> int:
@@ -851,8 +850,7 @@ def _session_command(command):
 
         try:
             return command(args)
-        except (ServeClientError, urllib.error.URLError, ConnectionError,
-                TimeoutError, OSError) as exc:
+        except (ServeClientError, OSError) as exc:
             print(f"session: {exc}", file=sys.stderr)
             return 1
 

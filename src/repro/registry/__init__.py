@@ -12,7 +12,8 @@ The registry closes the loop the ROADMAP left half-open after PR 7:
 * :mod:`repro.registry.compare` -- tolerance-gated cell-by-cell run
   diffs (the ``repro runs compare`` regression gate).
 * :mod:`repro.registry.views` -- bench trajectories and the
-  ``BENCH_sweep.json`` view over indexed bench runs.
+  ``BENCH_sweep.json`` view over indexed bench runs (written into the
+  runs root).
 * :mod:`repro.registry.emit` -- per-surface RunRecord writers.
 """
 

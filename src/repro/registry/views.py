@@ -1,11 +1,12 @@
 """Derived read-views over the registry: trajectories and bench files.
 
 ``repro runs trajectory`` renders a named benchmark's metric history
-across every indexed bench run, and ``BENCH_sweep.json`` -- which PR 6
-introduced as a hand-written root file -- is regenerated here as a pure
-view over the index, so the root file and the database can never
-disagree: the benchmark writes a RunRecord, the record is indexed, and
-the file is re-derived from whatever the DB then holds.
+across every indexed bench run, and ``BENCH_sweep.json`` -- written next
+to ``registry.sqlite`` in the runs root (``.runs/`` by default) -- is
+regenerated here as a pure view over the index, so the file and the
+database can never disagree: the benchmark writes a RunRecord, the
+record is indexed, and the file is re-derived from whatever the DB then
+holds.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from repro.registry.index import DB_FILENAME, RegistryError, RegistryIndex
 #: ``format`` marker of the regenerated BENCH view file.
 BENCH_VIEW_FORMAT = "repro-bench-view-v1"
 
-#: The benchmark whose view lives at the repo root (the ROADMAP's sweep
-#: perf trajectory, seeded by PR 6).
+#: The benchmark whose view is ``BENCH_sweep.json`` in the runs root
+#: (the ROADMAP's sweep perf trajectory).
 BENCH_SWEEP_BENCHMARK = "stackdist_sweep"
 
 

@@ -1,4 +1,9 @@
-"""Thin HTTP client for the ``repro serve`` service (stdlib urllib).
+"""Thin HTTP client for the ``repro serve`` service (stdlib http.client).
+
+Each :class:`ServeClient` sends every request over one kept-alive
+connection, dialled on first use.  A connection-level failure drops it,
+and the next request dials again.  A client is not shared across
+threads.
 
 Feeding is where the robustness protocol lives, so
 :meth:`ServeClient.feed_batches` implements the full client side of it:
@@ -17,10 +22,9 @@ Feeding is where the robustness protocol lives, so
 from __future__ import annotations
 
 import base64
+import http.client
 import json
 import time
-import urllib.error
-import urllib.request
 from typing import Iterable, Iterator, Optional, Tuple
 
 from repro.engine.batch import EventBatch
@@ -68,6 +72,11 @@ class ServeClient:
         self.timeout = timeout
         self.connect_retries = connect_retries
         self.connect_backoff = connect_backoff
+        self._connection = http.client.HTTPConnection(host, port, timeout=timeout)
+
+    def close(self) -> None:
+        """Hang up the kept-alive connection (a later request re-dials)."""
+        self._connection.close()
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -79,20 +88,27 @@ class ServeClient:
         if payload is not None:
             body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            self.base + path, data=body, headers=headers, method=method
-        )
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            detail = _error_detail(exc)
-            if exc.code in (429, 503):
+            self._connection.request(method, path, body=body, headers=headers)
+            response = self._connection.getresponse()
+            raw = response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            # Refused, reset, closed mid-answer or timed out: the
+            # connection is unusable, and the caller's retry handling
+            # knows these failures as ConnectionError / TimeoutError.
+            self._connection.close()
+            if isinstance(exc, (ConnectionError, TimeoutError)):
+                raise
+            raise ConnectionError(f"{self.base}: {exc!r}") from exc
+        if response.status >= 400:
+            detail = _error_detail(raw, response.reason)
+            if response.status in (429, 503):
                 raise ServeUnavailable(
-                    exc.code, detail,
-                    retry_after=float(exc.headers.get("Retry-After") or 1.0),
+                    response.status, detail,
+                    retry_after=float(response.getheader("Retry-After") or 1.0),
                 )
-            raise ServeClientError(exc.code, detail)
+            raise ServeClientError(response.status, detail)
+        return json.loads(raw.decode("utf-8"))
 
     def _with_reconnect(self, fn, *, retries: Optional[int] = None,
                         on_retry=None):
@@ -103,8 +119,7 @@ class ServeClient:
         recovery and its socket bind no longer surfaces as a raw
         ``ConnectionError``.  HTTP-level errors (including 429/503
         backpressure) pass straight through: they already have their own
-        protocol.  ``urllib.error.HTTPError`` never reaches the handler
-        because :meth:`_request` converts it first.
+        protocol.
         """
         budget = self.connect_retries if retries is None else retries
         attempt = 0
@@ -113,8 +128,7 @@ class ServeClient:
                 return fn()
             except ServeClientError:
                 raise
-            except (urllib.error.URLError, ConnectionError,
-                    TimeoutError, OSError):
+            except (ConnectionError, TimeoutError):
                 if attempt >= budget:
                     raise
                 delay = min(
@@ -157,9 +171,9 @@ class ServeClient:
 
     def feed(self, name: str, batch: EventBatch,
              seq: Optional[int] = None) -> dict:
-        """Send one chunk (exact-dtype npz encoding); one attempt."""
+        """Send one chunk (exact-dtype raw columns); one attempt."""
         payload = {
-            "npz_b64": base64.b64encode(encode_batch(batch)).decode("ascii"),
+            "chunk_b64": base64.b64encode(encode_batch(batch)).decode("ascii"),
         }
         if seq is not None:
             payload["seq"] = seq
@@ -213,7 +227,7 @@ class ServeClient:
                         on_retry("backpressure", chunk_seq, exc.retry_after)
                     time.sleep(exc.retry_after)
                     continue
-                except (urllib.error.URLError, ConnectionError, TimeoutError):
+                except (ConnectionError, TimeoutError):
                     # Server gone mid-chunk.  Wait for it to come back,
                     # then re-sync: if the crash landed after the journal
                     # append, the re-send acks as a duplicate.
@@ -225,8 +239,7 @@ class ServeClient:
                     time.sleep(1.0)
                     try:
                         owned = self.next_seq(name)
-                    except (ServeClientError, urllib.error.URLError,
-                            ConnectionError, TimeoutError):
+                    except (ServeClientError, ConnectionError, TimeoutError):
                         continue  # still down; keep waiting
                     if owned > chunk_seq:
                         break  # this chunk survived the crash
@@ -237,12 +250,12 @@ class ServeClient:
         return sent_chunks, sent_events
 
 
-def _error_detail(exc: urllib.error.HTTPError) -> str:
+def _error_detail(raw: bytes, reason: str) -> str:
     try:
-        payload = json.loads(exc.read().decode("utf-8"))
+        payload = json.loads(raw.decode("utf-8"))
         return str(payload.get("error", payload))
-    except Exception:
-        return exc.reason or "error"
+    except (ValueError, AttributeError):
+        return reason or "error"
 
 
 def read_endpoint(data_dir) -> Tuple[str, int]:

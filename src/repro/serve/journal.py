@@ -6,11 +6,14 @@ so every ingested chunk is made durable *before* it is applied:
 * **Chunk journal** (``journal.bin``): an append-only sequence of
   self-checking frames, one per ingested :class:`EventBatch`.  Each
   frame is ``magic | payload-length | blake2b-digest | payload`` where
-  the payload is the batch's columns in ``.npz`` form.  A crash can only
+  the payload is the batch's raw columns (:func:`encode_batch`, the
+  same bytes a feed request carries).  A crash can only
   tear the *tail* frame (the file is append-only and flushed+fsynced
   per chunk), and a torn or bit-rotted tail is detected by the length
   and digest checks: recovery replays every intact frame and truncates
-  the debris, so the next append lands on a clean boundary.
+  the debris, so the next append lands on a clean boundary.  Frames
+  are written as ``RJC2``; ``RJC1`` frames (an ``.npz`` payload) from
+  older journals are still read, so those sessions recover too.
 
 * **State snapshots** (``snapshot-<applied>.pkl``): a pickled session
   state written atomically (temp file + ``os.replace``) every N chunks.
@@ -34,14 +37,17 @@ import pickle
 import re
 import struct
 from pathlib import Path
-from typing import Any, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.engine.batch import EventBatch
 
 #: Frame magic: rolls with any incompatible frame-layout change.
-FRAME_MAGIC = b"RJC1"
+FRAME_MAGIC = b"RJC2"
+
+#: Magic of frames whose payload is ``.npz`` (read, never written).
+_NPZ_FRAME_MAGIC = b"RJC1"
 
 #: Frame header: magic + uint64 payload length + 16-byte blake2b digest.
 _HEADER = struct.Struct("<4sQ16s")
@@ -59,6 +65,15 @@ _COLUMNS = (
     "user", "latency", "transfer",
 )
 
+#: Columns every chunk must carry (the rest are optional).
+_REQUIRED = _COLUMNS[:6]
+
+#: Chunk header: uint64 event count + uint16 column-table length.
+_CHUNK_HEADER = struct.Struct("<QH")
+
+#: dtype kinds a chunk column may have: bool, int, uint, float.
+_NUMERIC_KINDS = frozenset("biuf")
+
 
 class JournalError(RuntimeError):
     """A journal frame or snapshot failed its integrity checks."""
@@ -69,22 +84,91 @@ def _digest(payload: bytes) -> bytes:
 
 
 def encode_batch(batch: EventBatch) -> bytes:
-    """One batch's columns as ``.npz`` bytes (the frame payload)."""
-    columns = {
-        name: column
+    """One batch as raw columns: the frame payload and the feed body.
+
+    Layout: ``uint64 events | uint16 table-length | table | columns``.
+    The table is ASCII ``name:dtype.str`` entries joined by commas
+    (``file_id:<i8,...``), one per present column in write order, and
+    each column's ``events * itemsize`` bytes follow in table order.
+    """
+    columns = [
+        (name, column)
         for name in _COLUMNS
         if (column := getattr(batch, name)) is not None
-    }
-    buffer = io.BytesIO()
-    np.savez(buffer, **columns)
-    return buffer.getvalue()
+    ]
+    table = ",".join(
+        f"{name}:{column.dtype.str}" for name, column in columns
+    ).encode("ascii")
+    return b"".join([
+        _CHUNK_HEADER.pack(len(batch), len(table)),
+        table,
+        *(column.tobytes() for _, column in columns),
+    ])
+
+
+def _column_table(table: bytes) -> Dict[str, np.dtype]:
+    """Parse and validate a chunk's ``name:dtype.str`` column table."""
+    try:
+        entries = table.decode("ascii").split(",") if table else []
+    except UnicodeDecodeError:
+        raise JournalError("chunk column table is not ASCII") from None
+    columns: Dict[str, np.dtype] = {}
+    for entry in entries:
+        name, _, code = entry.partition(":")
+        if name not in _COLUMNS:
+            raise JournalError(f"unknown chunk column {name!r}")
+        if name in columns:
+            raise JournalError(f"duplicate chunk column {name!r}")
+        try:
+            dtype = np.dtype(code)
+        except (TypeError, ValueError):
+            raise JournalError(f"column {name!r}: bad dtype {code!r}") from None
+        if dtype.kind not in _NUMERIC_KINDS:
+            raise JournalError(f"column {name!r}: non-numeric dtype {code!r}")
+        columns[name] = dtype
+    return columns
 
 
 def decode_batch(payload: bytes) -> EventBatch:
-    """Inverse of :func:`encode_batch`."""
+    """Inverse of :func:`encode_batch`; validates untrusted bytes.
+
+    Raises :class:`JournalError` for a short header, an unknown or
+    duplicate column, a dtype that is not bool/int/uint/float, a column
+    that runs past the payload, a missing required column or trailing
+    bytes.  Columns come back as owned, writable arrays of exactly the
+    encoded dtype, byte order included.
+    """
+    view = memoryview(payload)
+    if len(view) < _CHUNK_HEADER.size:
+        raise JournalError(f"chunk of {len(view)} bytes is shorter than its header")
+    count, table_length = _CHUNK_HEADER.unpack_from(view)
+    offset = _CHUNK_HEADER.size + table_length
+    if len(view) < offset:
+        raise JournalError("chunk is shorter than its column table")
+    columns = {}
+    for name, dtype in _column_table(bytes(view[_CHUNK_HEADER.size:offset])).items():
+        end = offset + count * dtype.itemsize
+        if end > len(view):
+            raise JournalError(f"column {name!r} runs past the chunk")
+        columns[name] = np.frombuffer(view, dtype, count, offset).copy()
+        offset = end
+    if offset != len(view):
+        raise JournalError(f"{len(view) - offset} trailing bytes after the columns")
+    missing = [name for name in _REQUIRED if name not in columns]
+    if missing:
+        raise JournalError(f"chunk lacks required columns {missing}")
+    return EventBatch(**columns)
+
+
+def _decode_npz(payload: bytes) -> EventBatch:
+    """An ``RJC1`` frame payload: the batch's columns in ``.npz`` form."""
     with np.load(io.BytesIO(payload)) as archive:
         columns = {name: archive[name] for name in archive.files}
     return EventBatch(**columns)
+
+
+#: Payload decoder per readable frame magic.
+_FRAME_DECODERS = {FRAME_MAGIC: decode_batch, _NPZ_FRAME_MAGIC: _decode_npz}
 
 
 def write_bytes_atomic(path: Union[str, Path], payload: bytes) -> None:
@@ -140,14 +224,14 @@ class SessionJournal:
     # ------------------------------------------------------------------
     # Replay and repair
 
-    def _scan(self) -> Tuple[List[Tuple[int, int]], int]:
-        """Intact frames as (payload offset, length) + clean tail offset.
+    def _scan(self) -> Tuple[List[Tuple[int, int, bytes]], int]:
+        """(payload offset, length, magic) per intact frame + clean tail.
 
-        Stops at the first torn or corrupt frame: a short header, a
-        payload shorter than its declared length, or a digest mismatch
-        all mark the end of the recoverable prefix.
+        Stops at the first torn or corrupt frame: a short header, an
+        unknown magic, a payload shorter than its declared length, or a
+        digest mismatch all mark the end of the recoverable prefix.
         """
-        frames: List[Tuple[int, int]] = []
+        frames: List[Tuple[int, int, bytes]] = []
         good_end = 0
         if not self.journal_path.is_file():
             return frames, good_end
@@ -157,12 +241,12 @@ class SessionJournal:
                 if len(header) < _HEADER.size:
                     break
                 magic, length, digest = _HEADER.unpack(header)
-                if magic != FRAME_MAGIC:
+                if magic not in _FRAME_DECODERS:
                     break
                 payload = handle.read(length)
                 if len(payload) < length or _digest(payload) != digest:
                     break
-                frames.append((good_end + _HEADER.size, length))
+                frames.append((good_end + _HEADER.size, length, magic))
                 good_end += _HEADER.size + length
         return frames, good_end
 
@@ -176,9 +260,9 @@ class SessionJournal:
         if not frames[skip:]:
             return
         with open(self.journal_path, "rb") as handle:
-            for offset, length in frames[skip:]:
+            for offset, length, magic in frames[skip:]:
                 handle.seek(offset)
-                yield decode_batch(handle.read(length))
+                yield _FRAME_DECODERS[magic](handle.read(length))
 
     def repair(self) -> int:
         """Truncate torn tail bytes (if any); returns intact frame count.

@@ -46,6 +46,7 @@ import json
 import os
 import queue
 import signal
+import socket
 import threading
 import time
 from dataclasses import dataclass, field
@@ -55,7 +56,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.engine.batch import EventBatch
 from repro.engine.resilience import write_json_atomic
-from repro.serve.journal import decode_batch
+from repro.serve.journal import JournalError, decode_batch
 from repro.serve.session import (
     JournaledSession,
     SequenceGap,
@@ -196,19 +197,20 @@ class _SessionWorker:
 def batch_from_payload(payload: dict) -> EventBatch:
     """Decode one chunk from a feed request body.
 
-    Two encodings: ``npz_b64`` (base64 of the journal's ``.npz`` frame
-    payload -- exact dtypes, what the client module sends) or plain JSON
-    ``columns`` lists (curl-friendly).
+    Two encodings: ``chunk_b64`` (base64 of :func:`encode_batch`'s raw
+    columns, the journal frame payload -- exact dtypes, what the client
+    module sends) or plain JSON ``columns`` lists (curl-friendly).  The
+    key's older name, ``npz_b64``, is read as an alias of ``chunk_b64``.
     """
-    encoded = payload.get("npz_b64")
+    encoded = payload.get("chunk_b64", payload.get("npz_b64"))
     if encoded is not None:
         try:
-            return decode_batch(base64.b64decode(encoded))
-        except Exception as exc:
-            raise SessionError(f"undecodable npz chunk: {exc}")
+            return decode_batch(base64.b64decode(encoded, validate=True))
+        except (JournalError, TypeError, ValueError) as exc:
+            raise SessionError(f"undecodable chunk: {exc}")
     columns = payload.get("columns")
     if not isinstance(columns, dict):
-        raise SessionError("feed body needs 'npz_b64' or 'columns'")
+        raise SessionError("feed body needs 'chunk_b64' or 'columns'")
     try:
         required = {
             name: columns[name]
@@ -396,6 +398,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     service: ReproService  # set by make_server
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as two writes; with Nagle on, a kept-alive
+    # client's delayed ACK holds the body back for tens of milliseconds.
+    disable_nagle_algorithm = True
 
     # -- plumbing -----------------------------------------------------------
 
@@ -412,9 +417,25 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
+    def _read_body(self) -> Optional[bytes]:
+        """Consume the request body, whatever the route; None if unframed.
+
+        The next request on a kept-alive connection starts right after
+        this one's body, so every body is read before answering, and a
+        body whose end is unknown (a malformed, repeated or short
+        ``Content-Length``, or a transfer coding) returns None.
+        """
+        lengths = self.headers.get_all("Content-Length") or ["0"]
+        text = lengths[0].strip()
+        if (len(lengths) > 1 or not (text.isascii() and text.isdigit())
+                or "Transfer-Encoding" in self.headers):
+            return None
+        length = int(text)
+        raw = self.rfile.read(length)
+        return raw if len(raw) == length else None
+
+    @staticmethod
+    def _json(raw: bytes) -> dict:
         if not raw:
             return {}
         payload = json.loads(raw.decode("utf-8"))
@@ -423,8 +444,15 @@ class _Handler(BaseHTTPRequestHandler):
         return payload
 
     def _dispatch(self, method: str) -> None:
+        body = self._read_body()
+        if body is None:
+            # Where this body ends, the next request would start: answer
+            # and hang up rather than parse the rest as a request.
+            self._send(400, {"error": "request body has no usable "
+                             "Content-Length"}, {"Connection": "close"})
+            return
         try:
-            status, payload, headers = self._route(method)
+            status, payload, headers = self._route(method, body)
         except ServiceUnavailable as exc:
             status, payload, headers = exc.status, {"error": str(exc)}, _retry_after()
         except SequenceGap as exc:
@@ -439,7 +467,7 @@ class _Handler(BaseHTTPRequestHandler):
             status, payload, headers = 500, {"error": repr(exc)}, {}
         self._send(status, payload, headers)
 
-    def _route(self, method: str) -> Tuple[int, dict, dict]:
+    def _route(self, method: str, body: bytes) -> Tuple[int, dict, dict]:
         service = self.service
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
         parts = [part for part in path.split("/") if part]
@@ -452,13 +480,13 @@ class _Handler(BaseHTTPRequestHandler):
                 if method == "GET":
                     return service.handle_list()
                 if method == "POST":
-                    return service.handle_create(self._read_json())
+                    return service.handle_create(self._json(body))
             elif len(parts) == 3 and method == "GET":
                 return service.handle_status(parts[2])
             elif len(parts) == 4:
                 name, action = parts[2], parts[3]
                 if method == "POST" and action == "events":
-                    return service.handle_feed(name, self._read_json())
+                    return service.handle_feed(name, self._json(body))
                 if method == "GET" and action == "metrics":
                     return service.handle_metrics(name)
                 if method == "POST" and action == "finalize":
@@ -475,7 +503,39 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class ServeHTTPServer(ThreadingHTTPServer):
+    """Threaded server that also hangs up kept-alive connections on close.
+
+    A handler thread serves its connection until the client hangs up,
+    so without this a closed server would keep answering on open
+    connections with the state it had when it stopped.
+    """
+
     daemon_threads = True
+
+    def __init__(self, *args, **kwargs) -> None:
+        self._connections: set = set()
+        self._connections_lock = threading.Lock()
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._connections_lock:
+            live, self._connections = self._connections, set()
+        for connection in live:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the client already hung up
 
 
 def make_server(config: ServeConfig) -> Tuple[ServeHTTPServer, ReproService]:

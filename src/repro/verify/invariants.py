@@ -195,7 +195,7 @@ def write_quarantine_bundle(
     """Dump a minimized repro bundle; returns its path (None on IO error).
 
     Layout: ``violation.json`` (law, site, details, context, window
-    manifest) plus one ``window-<i>.npz`` per batch in the rolling
+    manifest) plus one ``window-<i>.chunk`` per batch in the rolling
     window (the journal frame codec, so ``repro verify replay`` can
     decode them without the original workload).
     """
@@ -213,7 +213,7 @@ def write_quarantine_bundle(
         bundle_dir.mkdir(parents=True, exist_ok=True)
         names: List[str] = []
         for index, batch in enumerate(window):
-            name = f"window-{index}.npz"
+            name = f"window-{index}.chunk"
             (bundle_dir / name).write_bytes(encode_batch(batch))
             names.append(name)
         plan_name = _bundled_fault_plan(bundle_dir)
@@ -224,7 +224,7 @@ def write_quarantine_bundle(
             "details": details,
             "context": context,
             "window": names,
-            # Index of window-0.npz in the original batch stream, so a
+            # Index of window-0.chunk in the original batch stream, so a
             # replay can re-align index-matched fault rules.
             "window_start": window_start,
             "fault_plan": plan_name,

@@ -2,21 +2,30 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
+import struct
+
 import numpy as np
 import pytest
 
+from repro.engine.batch import EventBatch
 from repro.serve.journal import (
     SNAPSHOTS_KEPT,
+    JournalError,
     SessionJournal,
     decode_batch,
     encode_batch,
 )
-from tests.serve.conftest import synth_chunks
+from repro.serve.session import JournaledSession, ReplaySession, SessionSpec
+from tests.serve.conftest import malformed_chunks, raw_chunk, synth_chunks
+
+COLUMNS = ("file_id", "size", "time", "is_write", "device", "error",
+           "user", "latency", "transfer")
 
 
 def _assert_batches_equal(a, b):
-    for name in ("file_id", "size", "time", "is_write", "device", "error",
-                 "user", "latency", "transfer"):
+    for name in COLUMNS:
         left, right = getattr(a, name), getattr(b, name)
         if left is None or right is None:
             assert left is None and right is None, name
@@ -37,6 +46,90 @@ def test_roundtrip_without_optional_columns():
         is_write=batch.is_write, device=batch.device, error=batch.error,
     )
     _assert_batches_equal(decode_batch(encode_batch(stripped)), stripped)
+
+
+def test_encoding_is_the_documented_raw_layout(chunk_stream):
+    batch = chunk_stream[0]
+    columns = [(name, getattr(batch, name).dtype.str,
+                getattr(batch, name).tobytes()) for name in COLUMNS]
+    assert encode_batch(batch) == raw_chunk(len(batch), columns)
+
+
+def test_zero_event_and_big_endian_batches_roundtrip_exact_dtypes():
+    batch = synth_chunks(1, 40)[0]
+    swapped = EventBatch(**{
+        name: getattr(batch, name).astype(getattr(batch, name).dtype.newbyteorder(">"))
+        for name in COLUMNS
+    })
+    assert swapped.file_id.dtype.str == ">i8"
+    for original in (EventBatch.empty(), batch.slice(0, 0), swapped):
+        decoded = decode_batch(encode_batch(original))
+        _assert_batches_equal(decoded, original)
+        for name in COLUMNS:
+            column = getattr(decoded, name)
+            if column is not None:
+                assert column.flags.owndata and column.flags.writeable, name
+
+
+@pytest.mark.parametrize("case", sorted(malformed_chunks()))
+def test_malformed_chunk_raises_journal_error(case):
+    with pytest.raises(JournalError):
+        decode_batch(malformed_chunks()[case])
+
+
+def _rjc1_frame(batch) -> bytes:
+    """A frame as journals were written before RJC2: an ``.npz`` payload."""
+    buffer = io.BytesIO()
+    np.savez(buffer, **{
+        name: column for name in COLUMNS
+        if (column := getattr(batch, name)) is not None
+    })
+    payload = buffer.getvalue()
+    digest = hashlib.blake2b(payload, digest_size=16).digest()
+    return struct.pack("<4sQ16s", b"RJC1", len(payload), digest) + payload
+
+
+def test_rjc1_journal_recovers_like_an_in_process_session(tmp_path):
+    chunks = synth_chunks(6, 200, seed=4)
+    spec = SessionSpec(name="old", policy="lru", capacity_bytes=4 << 20)
+    journaled = JournaledSession.create(tmp_path / "s", spec)
+    journaled.journal.journal_path.write_bytes(
+        b"".join(_rjc1_frame(chunk) for chunk in chunks[:4])
+    )
+    recovered = JournaledSession.open(tmp_path / "s")
+    assert recovered.next_seq == 4
+    for seq in range(4, len(chunks)):
+        recovered.feed(chunks[seq], seq)  # appended as RJC2 frames
+    recovered.journal.close()
+    reopened = JournaledSession.open(tmp_path / "s")
+    reference = ReplaySession(spec)
+    for chunk in chunks:
+        reference.feed(chunk)
+    assert reopened.session.finalize() == reference.finalize()
+
+
+@pytest.mark.parametrize("chop", [1, 10, 1000])
+def test_mixed_rjc1_rjc2_journal_replays_and_repairs(tmp_path, chunk_stream, chop):
+    journal = SessionJournal(tmp_path / "s")
+    old = len(chunk_stream) // 2
+    journal.journal_path.write_bytes(
+        b"".join(_rjc1_frame(batch) for batch in chunk_stream[:old])
+    )
+    for batch in chunk_stream[old:]:
+        journal.append(batch)
+    journal.close()
+    assert journal.frame_count() == len(chunk_stream)
+    for original, replayed in zip(chunk_stream, journal.replay(), strict=True):
+        _assert_batches_equal(replayed, original)
+    # Tear the last (RJC2) frame; repair keeps every intact frame.
+    size = journal.journal_path.stat().st_size
+    with open(journal.journal_path, "r+b") as handle:
+        handle.truncate(size - chop)
+    assert journal.repair() == len(chunk_stream) - 1
+    journal.append(chunk_stream[-1])
+    journal.close()
+    for original, replayed in zip(chunk_stream, journal.replay(), strict=True):
+        _assert_batches_equal(replayed, original)
 
 
 def test_append_replay_roundtrip(tmp_path, chunk_stream):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import base64
+import http.client
 import json
 import threading
 import urllib.error
@@ -16,6 +18,7 @@ from repro.serve.service import (
     ServeConfig,
     make_server,
 )
+from tests.serve.conftest import malformed_chunks
 
 
 @pytest.fixture
@@ -128,7 +131,7 @@ def test_curl_style_json_columns_feed(live_server):
 def test_malformed_feed_body_is_400(live_server):
     client, _, _ = live_server
     client.submit(SPEC)
-    for payload in ({}, {"columns": {"file_id": [1]}}, {"npz_b64": "!!!"}):
+    for payload in ({}, {"columns": {"file_id": [1]}}, {"chunk_b64": "!!!"}):
         body = json.dumps(payload).encode()
         request = urllib.request.Request(
             client.base + "/v1/sessions/s1/events", data=body,
@@ -137,6 +140,83 @@ def test_malformed_feed_body_is_400(live_server):
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(request, timeout=10)
         assert info.value.code == 400
+
+
+def _connection(client: ServeClient) -> http.client.HTTPConnection:
+    host, port = client.base[len("http://"):].rsplit(":", 1)
+    return http.client.HTTPConnection(host, int(port), timeout=10)
+
+
+def _exchange(connection, method, path, body=None):
+    connection.request(method, path, body=body)
+    response = connection.getresponse()
+    return response.status, json.loads(response.read())
+
+
+def test_malformed_chunk_is_400_and_not_applied(live_server):
+    client, _, _ = live_server
+    client.submit(SPEC)
+    connection = _connection(client)
+    try:
+        for case, chunk in sorted(malformed_chunks().items()):
+            body = json.dumps({
+                "seq": 0, "chunk_b64": base64.b64encode(chunk).decode("ascii"),
+            }).encode()
+            status, answer = _exchange(
+                connection, "POST", "/v1/sessions/s1/events", body
+            )
+            assert status == 400 and "undecodable" in answer["error"], case
+    finally:
+        connection.close()
+    assert client.status("s1")["applied_chunks"] == 0
+
+
+def test_kept_alive_connection_stays_framed_after_unread_bodies(live_server):
+    """Bodies the route never looks at are still consumed, so the next
+    request on the same connection parses from its own first byte."""
+    client, _, _ = live_server
+    client.submit(SPEC)
+    body = json.dumps({"unused": "x" * 64}).encode()
+    connection = _connection(client)
+    try:
+        assert _exchange(connection, "POST", "/nowhere", body)[0] == 404
+        assert _exchange(connection, "GET", "/healthz")[1]["status"] == "ok"
+        status, final = _exchange(
+            connection, "POST", "/v1/sessions/s1/finalize", body
+        )
+        assert status == 200 and final["finalized"] is True
+        assert _exchange(connection, "GET", "/healthz")[1]["status"] == "ok"
+    finally:
+        connection.close()
+
+
+@pytest.mark.parametrize("length", ["12abc", "-1", "2, 2"])
+def test_malformed_content_length_is_400_and_closes(live_server, length):
+    client, _, _ = live_server
+    connection = _connection(client)
+    try:
+        connection.putrequest("POST", "/v1/sessions")
+        connection.putheader("Content-Length", length)
+        connection.endheaders(b"{}")
+        response = connection.getresponse()
+        assert response.status == 400
+        assert response.getheader("Connection") == "close"
+        response.read()
+    finally:
+        connection.close()
+    assert client.health()["status"] == "ok"
+
+
+def test_client_reuses_one_connection(live_server):
+    client, _, _ = live_server
+    client.health()
+    sock = client._connection.sock
+    for _ in range(3):
+        client.ready()
+    assert client._connection.sock is sock
+    client.close()
+    assert client.health()["status"] == "ok"  # re-dials after close
+    assert client._connection.sock not in (None, sock)
 
 
 def test_drain_refuses_new_work_and_writes_summary(live_server, chunk_stream):
