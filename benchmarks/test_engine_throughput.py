@@ -18,7 +18,8 @@ import pytest
 RELAXED = os.environ.get("REPRO_BENCH_RELAXED") == "1"
 
 from repro.engine import prepare_stream, replay_policy
-from repro.hsm.manager import events_from_trace, run_policy
+from repro.hsm.manager import HSM, HSMConfig, events_from_trace
+from repro.migration.registry import make_policy
 from repro.workload.config import WorkloadConfig
 from repro.workload.generator import generate_trace
 
@@ -47,7 +48,9 @@ def test_batch_replay_is_5x_faster_than_record_loop(throughput_trace):
     capacity = int(trace.namespace.total_bytes * CAPACITY_FRACTION)
 
     legacy_seconds, legacy_metrics = _best_of(
-        lambda: run_policy(events_from_trace(trace), POLICY, capacity)
+        lambda: HSM(HSMConfig.with_capacity(capacity), make_policy(POLICY)).run(
+            events_from_trace(trace)
+        )
     )
     engine_seconds, engine_metrics = _best_of(
         lambda: replay_policy(prepare_stream(trace), POLICY, capacity)

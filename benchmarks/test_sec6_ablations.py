@@ -12,14 +12,15 @@
 import pytest
 from conftest import report  # noqa: F401  (kept for parity with other benches)
 
-from repro.hsm import HSM, HSMConfig, events_from_trace, run_policy
+from repro.engine import replay_policy
+from repro.hsm import HSM, HSMConfig
 from repro.migration.stp import SpaceTimePolicy
 from repro.util.units import HOUR, MB
 
 
 @pytest.fixture(scope="module")
-def events(bench_study):
-    return events_from_trace(bench_study.trace)
+def batches(bench_study):
+    return bench_study.event_batches()
 
 
 @pytest.fixture(scope="module")
@@ -27,14 +28,14 @@ def capacity(bench_study):
     return int(bench_study.trace.namespace.total_bytes * 0.03)
 
 
-def test_ablation_lazy_writeback(benchmark, events, capacity):
+def test_ablation_lazy_writeback(benchmark, batches, capacity):
     """Lazy write-back saves tape writes by absorbing rewrites."""
 
     def run_lazy():
-        return run_policy(events, "stp", capacity, writeback_delay=8 * HOUR)
+        return replay_policy(batches, "stp", capacity, writeback_delay=8 * HOUR)
 
     lazy = benchmark(run_lazy)
-    eager = run_policy(events, "stp", capacity, writeback_delay=None)
+    eager = replay_policy(batches, "stp", capacity, writeback_delay=None)
     print(f"\nlazy:  tape writes {lazy.tape_writes}, absorbed {lazy.rewrites_absorbed}")
     print(f"eager: tape writes {eager.tape_writes}, absorbed {eager.rewrites_absorbed}")
     assert lazy.rewrites_absorbed > 0
@@ -43,15 +44,17 @@ def test_ablation_lazy_writeback(benchmark, events, capacity):
     assert lazy.read_miss_ratio == pytest.approx(eager.read_miss_ratio, abs=0.01)
 
 
-def test_ablation_prefetch(benchmark, events, capacity, bench_study):
+def test_ablation_prefetch(benchmark, batches, capacity, bench_study):
     """Sequential prefetch trades staged bytes for fewer read stalls."""
     namespace = bench_study.trace.namespace
 
     def run_prefetch():
-        return run_policy(events, "stp", capacity, namespace=namespace, prefetch=True)
+        return replay_policy(
+            batches, "stp", capacity, namespace=namespace, prefetch=True
+        )
 
     fetched = benchmark.pedantic(run_prefetch, rounds=1, iterations=1)
-    plain = run_policy(events, "stp", capacity, namespace=namespace)
+    plain = replay_policy(batches, "stp", capacity, namespace=namespace)
     print(f"\nplain miss {plain.read_miss_ratio:.4f}; "
           f"prefetch miss {fetched.read_miss_ratio:.4f} "
           f"(accuracy {fetched.prefetch_accuracy():.1%}, "
@@ -87,7 +90,7 @@ def test_ablation_placement_threshold(benchmark, bench_study):
     assert shares[30] == pytest.approx(0.33, abs=0.08)
 
 
-def test_ablation_stp_exponent(benchmark, events, capacity):
+def test_ablation_stp_exponent(benchmark, batches, capacity):
     """Sweep the STP time exponent around Smith's 1.4."""
 
     def sweep():
@@ -95,7 +98,7 @@ def test_ablation_stp_exponent(benchmark, events, capacity):
         for alpha in (0.5, 1.0, 1.4, 2.0):
             policy = SpaceTimePolicy(time_exponent=alpha)
             config = HSMConfig.with_capacity(capacity)
-            out[alpha] = HSM(config, policy).run(events).read_miss_ratio
+            out[alpha] = HSM(config, policy).replay(batches).read_miss_ratio
         return out
 
     misses = benchmark.pedantic(sweep, rounds=1, iterations=1)

@@ -12,12 +12,12 @@ from conftest import report
 
 from repro.core import paper
 from repro.core.experiments import run_experiment
-from repro.hsm import capacity_sweep, events_from_trace, run_policy
+from repro.engine import capacity_sweep_batches, replay_policy
 
 
 @pytest.fixture(scope="module")
-def events(bench_study):
-    return events_from_trace(bench_study.trace)
+def batches(bench_study):
+    return bench_study.event_batches()
 
 
 def test_sec6_policy_table(benchmark, bench_study):
@@ -27,14 +27,14 @@ def test_sec6_policy_table(benchmark, bench_study):
     report(result, tolerance=0.01)
 
 
-def test_policy_ordering(events, bench_study):
+def test_policy_ordering(batches, bench_study):
     total = bench_study.trace.namespace.total_bytes
     capacity = int(total * 0.015)
     misses = {}
     for name in ("opt", "stp", "stp-1.0", "lru", "saac", "fifo",
                  "random", "largest-first", "smallest-first", "mru"):
-        metrics = run_policy(events, name, capacity,
-                             namespace=bench_study.trace.namespace)
+        metrics = replay_policy(batches, name, capacity,
+                                namespace=bench_study.trace.namespace)
         misses[name] = metrics.read_miss_ratio
         print(f"{name:15s} miss={metrics.read_miss_ratio:.4f} "
               f"capacity-miss={metrics.capacity_miss_ratio:.4f}")
@@ -48,11 +48,11 @@ def test_policy_ordering(events, bench_study):
     assert misses["smallest-first"] > misses["largest-first"]
 
 
-def test_capacity_sweep_curve(events, bench_study):
+def test_capacity_sweep_curve(batches, bench_study):
     """Miss ratio falls monotonically with managed-disk capacity."""
     total = bench_study.trace.namespace.total_bytes
     fractions = [0.005, 0.01, 0.015, 0.03, 0.06]
-    rows = list(capacity_sweep(events, "stp", total, fractions))
+    rows = list(capacity_sweep_batches(batches, "stp", total, fractions))
     print()
     for fraction, metrics in rows:
         print(f"capacity {fraction:5.1%}  miss {metrics.read_miss_ratio:.4f}  "
@@ -68,10 +68,10 @@ def test_capacity_sweep_curve(events, bench_study):
     assert at_15.capacity_miss_ratio < 0.14
 
 
-def test_person_minutes_metric(events, bench_study):
+def test_person_minutes_metric(batches, bench_study):
     total = bench_study.trace.namespace.total_bytes
-    metrics = run_policy(events, "stp", int(total * 0.015),
-                         namespace=bench_study.trace.namespace)
+    metrics = replay_policy(batches, "stp", int(total * 0.015),
+                            namespace=bench_study.trace.namespace)
     pm = metrics.person_minutes_per_day(stall_seconds=paper.TAPE_AVG_ACCESS)
     # Scales with miss count; must be positive and finite.
     assert 0 < pm < 1000

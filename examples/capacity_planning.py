@@ -10,16 +10,17 @@ before buying 3380s.
 
 from repro import WorkloadConfig, generate_trace
 from repro.analysis.render import TextTable
-from repro.hsm import capacity_sweep, events_from_trace, run_policy
+from repro.engine import capacity_sweep_batches, prepare_stream, replay_policy
 
 
 def main() -> None:
     config = WorkloadConfig(scale=0.01, seed=9)
     trace = generate_trace(config)
-    events = events_from_trace(trace)
+    batches = prepare_stream(trace)
     total = trace.namespace.total_bytes
+    references = sum(len(batch) for batch in batches)
     print(f"archive: {total / 1e9:.1f} GB in {trace.namespace.file_count} files; "
-          f"{len(events)} deduped references over two years\n")
+          f"{references} deduped references over two years\n")
 
     table = TextTable(
         ["disk (% of archive)", "disk (GB)", "miss ratio",
@@ -27,7 +28,7 @@ def main() -> None:
         title="STP miss ratio vs managed-disk capacity",
     )
     fractions = (0.005, 0.01, 0.015, 0.02, 0.04, 0.08)
-    for fraction, metrics in capacity_sweep(events, "stp", total, fractions):
+    for fraction, metrics in capacity_sweep_batches(batches, "stp", total, fractions):
         table.add_row(
             f"{fraction:.1%}",
             f"{total * fraction / 1e9:.1f}",
@@ -40,14 +41,14 @@ def main() -> None:
 
     capacity = int(total * 0.015)
     print("\nat the 1.5% operating point:")
-    lazy = run_policy(events, "stp", capacity, writeback_delay=4 * 3600.0)
-    eager = run_policy(events, "stp", capacity, writeback_delay=None)
+    lazy = replay_policy(batches, "stp", capacity, writeback_delay=4 * 3600.0)
+    eager = replay_policy(batches, "stp", capacity, writeback_delay=None)
     print(f"  write-through : {eager.tape_writes} tape writes")
     print(f"  lazy writeback: {lazy.tape_writes} tape writes "
           f"({lazy.rewrites_absorbed} rewrites absorbed before flushing)")
-    fetched = run_policy(events, "stp", capacity,
-                         namespace=trace.namespace, prefetch=True)
-    plain = run_policy(events, "stp", capacity, namespace=trace.namespace)
+    fetched = replay_policy(batches, "stp", capacity,
+                            namespace=trace.namespace, prefetch=True)
+    plain = replay_policy(batches, "stp", capacity, namespace=trace.namespace)
     print(f"  prefetch      : miss {plain.read_miss_ratio:.4f} -> "
           f"{fetched.read_miss_ratio:.4f} "
           f"(accuracy {fetched.prefetch_accuracy():.0%})")

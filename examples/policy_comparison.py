@@ -13,17 +13,18 @@ LRU ~ SAAC < FIFO < random < size-only policies, with STP ahead of LRU
 
 from repro import WorkloadConfig, generate_trace
 from repro.analysis.render import TextTable
-from repro.hsm import events_from_trace, run_policy
+from repro.engine import prepare_stream, replay_policy
 
 
 def main() -> None:
     config = WorkloadConfig(scale=0.01, seed=42)
     print(f"generating workload (scale {config.scale}) ...")
     trace = generate_trace(config)
-    events = events_from_trace(trace)
+    batches = prepare_stream(trace)
     total = trace.namespace.total_bytes
     capacity = int(total * 0.015)
-    print(f"{len(events)} deduped references; managed disk = 1.5% of "
+    references = sum(len(batch) for batch in batches)
+    print(f"{references} deduped references; managed disk = 1.5% of "
           f"{total / 1e9:.1f} GB archive\n")
 
     table = TextTable(
@@ -33,7 +34,7 @@ def main() -> None:
     names = ("opt", "stp", "stp-1.0", "lru", "saac", "fifo",
              "random", "largest-first", "smallest-first", "mru")
     for name in names:
-        metrics = run_policy(events, name, capacity, namespace=trace.namespace)
+        metrics = replay_policy(batches, name, capacity, namespace=trace.namespace)
         table.add_row(
             name,
             f"{metrics.read_miss_ratio:.4f}",

@@ -337,17 +337,13 @@ def _episode_slow_consumer(rng, workdir: Path, cache_dir: Path) -> dict:
 
 def _episode_hsm_corrupt(rng, workdir: Path, cache_dir: Path) -> dict:
     from repro.engine.replay import replay_policy
+    from repro.engine.stream import prepare_batch
     from repro.verify.diff import replay_bundle
 
     n_batches = int(rng.integers(4, 10))
     corrupt_at = int(rng.integers(0, n_batches))
     batches = _synth_chunks(rng, n_batches, int(rng.integers(150, 300)))
-    clean = [batch.good() for batch in batches]
-    import dataclasses as _dc
-
-    clean = [
-        _dc.replace(batch, size=np.maximum(batch.size, 1)) for batch in clean
-    ]
+    clean = [prepare_batch(batch) for batch in batches]
     capacity = int(rng.integers(2, 8)) * 1024 * 1024
 
     plan = FaultPlan(workdir / "plan")

@@ -53,7 +53,7 @@ from repro.engine.stream import (
     BlockDeduper,
     collect,
     dedupe_blocks,
-    hsm_event_batches,
+    prepare_batch,
     strip_errors,
 )
 from repro.engine.sweep import (
@@ -89,12 +89,12 @@ __all__ = [
     "dedupe_blocks",
     "device_at",
     "device_index",
-    "hsm_event_batches",
     "list_runs",
     "load_run_summary",
     "log_spaced_fractions",
     "multi_capacity_replay",
     "open_or_generate",
+    "prepare_batch",
     "prepare_stream",
     "quarantine_slot",
     "rechunk",

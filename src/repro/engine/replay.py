@@ -1,7 +1,7 @@
 """Batch-oriented HSM replay: the engine-side policy runners.
 
-These mirror ``repro.hsm.run_policy`` / ``capacity_sweep`` but move
-:class:`~repro.engine.batch.EventBatch`es end to end: the stream is never
+They move :class:`~repro.engine.batch.EventBatch`es end to end through
+:meth:`HSM.feed <repro.hsm.manager.HSM.feed>`: the stream is never
 expanded into per-event tuples, OPT builds its future schedule with one
 vectorized pass, and a prepared stream can be replayed against many
 (policy, capacity) cells without re-deriving it.
@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Optional, Tuple
 
+from repro.engine import stream
 from repro.engine.batch import EventBatch
-from repro.engine.stream import collect, hsm_event_batches
 from repro.hsm.manager import HSM, HSMConfig
 from repro.hsm.metrics import HSMMetrics
 from repro.migration.opt import OptimalPolicy
@@ -30,7 +30,11 @@ def prepare_stream(
     across every cell of a sweep; OPT also needs the whole stream ahead
     of time for its schedule.
     """
-    return collect(hsm_event_batches(trace, deduped=deduped, chunk_size=chunk_size))
+    # Looked up on the module at call time, so a wrapper installed on
+    # ``stream.hsm_batches_from_stream`` (tracing) sees every prep.
+    return stream.collect(stream.hsm_batches_from_stream(
+        trace.iter_batches(chunk_size=chunk_size), deduped=deduped
+    ))
 
 
 def build_policy(

@@ -613,10 +613,10 @@ def open_or_generate(
     if variant == "trace":
         batches: Iterable[EventBatch] = trace.iter_batches(chunk_size=chunk_size)
     elif variant in ("hsm", "hsm-raw"):
-        from repro.engine.stream import hsm_event_batches
+        from repro.engine.stream import hsm_batches_from_stream
 
-        batches = hsm_event_batches(
-            trace, deduped=(variant == "hsm"), chunk_size=chunk_size
+        batches = hsm_batches_from_stream(
+            trace.iter_batches(chunk_size=chunk_size), deduped=(variant == "hsm")
         )
     else:
         raise ValueError(f"unknown store variant {variant!r}")

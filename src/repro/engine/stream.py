@@ -3,18 +3,19 @@
 These are the columnar counterparts of :mod:`repro.trace.filters`: the
 error strip of Section 5.1 and the eight-hour dedupe of Section 5.3,
 applied per batch with numpy instead of per record with Python objects.
-``hsm_event_batches`` composes them into the reference stream the HSM
-replays -- the engine-side equivalent of the old
-``events_from_trace`` record walk.
+:func:`prepare_batch` composes them into the one step that turns a raw
+batch into HSM replay input -- the engine-side equivalent of the
+``events_from_trace`` record walk -- for batch streams and live serve
+sessions alike.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator, List, Optional
 
 import numpy as np
 
-from repro.engine.batch import DEFAULT_CHUNK_SIZE, EventBatch
+from repro.engine.batch import EventBatch
 from repro.util.units import HOUR
 
 EIGHT_HOURS = 8 * HOUR
@@ -92,48 +93,46 @@ def dedupe_blocks(
         yield deduper.apply(batch)
 
 
-def hsm_event_batches(
-    trace,
-    deduped: bool = True,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> Iterator[EventBatch]:
-    """The HSM reference stream of a trace, as batches.
+def prepare_batch(
+    batch: EventBatch, deduper: Optional[BlockDeduper] = None
+) -> EventBatch:
+    """One raw batch as HSM replay input (possibly empty).
 
-    Mirrors the legacy ``repro.hsm.events_from_trace``: failed references
-    are dropped, sizes are clamped to at least one byte, and by default
-    the eight-hour dedupe is applied (migration decisions would not see
-    batch-script re-requests, Section 6).
+    Drops failed references, applies the eight-hour dedupe when a
+    ``deduper`` carries its state across the stream (migration decisions
+    would not see batch-script re-requests, Section 6), and clamps sizes
+    to at least one byte.
     """
-    return hsm_batches_from_stream(
-        trace.iter_batches(chunk_size=chunk_size), deduped=deduped
+    batch = batch.good()
+    if deduper is not None:
+        batch = deduper.apply(batch)
+    # Replay reads only the four core columns; dropping the optional
+    # ones halves the bytes a prepared stream pins (per seed, per sweep
+    # worker).
+    return EventBatch(
+        file_id=batch.file_id,
+        size=np.maximum(batch.size, 1),
+        time=batch.time,
+        is_write=batch.is_write,
+        device=batch.device,
+        error=batch.error,
     )
 
 
 def hsm_batches_from_stream(
     batches: Iterable[EventBatch], deduped: bool = True
 ) -> Iterator[EventBatch]:
-    """The HSM reference stream of *any* raw batch stream.
+    """The HSM reference stream of any raw batch stream.
 
-    The trace-independent core of :func:`hsm_event_batches`: works for a
-    generated trace's batches, a store's memmapped shards, or a composed
-    multi-tenant scenario stream.
+    Works for a generated trace's batches, a store's memmapped shards,
+    or a composed multi-tenant scenario stream; empty prepared batches
+    are skipped.
     """
-    batches = strip_errors(batches)
-    if deduped:
-        batches = dedupe_blocks(batches)
+    deduper = BlockDeduper() if deduped else None
     for batch in batches:
-        if len(batch):
-            # Replay reads only the four core columns; dropping the
-            # optional ones halves the bytes a prepared stream pins
-            # (per seed, per sweep worker).
-            yield EventBatch(
-                file_id=batch.file_id,
-                size=np.maximum(batch.size, 1),
-                time=batch.time,
-                is_write=batch.is_write,
-                device=batch.device,
-                error=batch.error,
-            )
+        prepared = prepare_batch(batch, deduper)
+        if len(prepared):
+            yield prepared
 
 
 def collect(batches: Iterable[EventBatch]) -> List[EventBatch]:

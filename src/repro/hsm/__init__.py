@@ -7,13 +7,7 @@ from repro.hsm.cutthrough import (
     cutthrough_stall,
     evaluate_cutthrough,
 )
-from repro.hsm.manager import (
-    HSM,
-    HSMConfig,
-    capacity_sweep,
-    events_from_trace,
-    run_policy,
-)
+from repro.hsm.manager import HSM, HSMConfig, events_from_trace
 from repro.hsm.metrics import DISK_HIT_LATENCY, HSMMetrics, TAPE_MISS_LATENCY
 from repro.hsm.prefetch import PrefetchConfig, SequentialPrefetcher
 
@@ -32,7 +26,5 @@ __all__ = [
     "PrefetchConfig",
     "SequentialPrefetcher",
     "TAPE_MISS_LATENCY",
-    "capacity_sweep",
     "events_from_trace",
-    "run_policy",
 ]

@@ -123,7 +123,8 @@ class ManagedDiskCache:
         if size > self.config.capacity_bytes:
             return self._bypass(file_id, size, time, is_write)
         if is_write:
-            return self._write(file_id, size, time)
+            hit = file_id in self._sizes
+            return AccessOutcome(hit=hit, evicted=self._write(file_id, size, time))
         return self._read(file_id, size, time)
 
     def _bypass(
@@ -202,7 +203,7 @@ class ManagedDiskCache:
         append_hit_time = hit_times.append
         flush_due = self.flush_due
         stage_miss = self._stage_miss
-        write = self._write_batch
+        write = self._write
 
         def drain_hits() -> None:
             metrics.reads += len(hit_files)
@@ -288,49 +289,22 @@ class ManagedDiskCache:
         metrics.bytes_staged += size
         return self._insert(file_id, size, time, dirty=False)
 
-    def _write(self, file_id: int, size: int, time: float) -> AccessOutcome:
-        self.metrics.writes += 1
-        self.metrics.bytes_written += size
-        delay = self._writeback_delay
+    def _write(self, file_id: int, size: int, time: float) -> List[int]:
+        """Write bookkeeping (shared by both access paths); returns the
+        files evicted to make room."""
+        metrics = self.metrics
+        metrics.writes += 1
+        metrics.bytes_written += size
+        evicted: List[int] = []
         if file_id in self._sizes:
-            hit = True
             self.policy.on_access(file_id, time, is_write=True)
             if file_id in self._dirty:
                 # Re-written before its flush: the pending tape copy is
                 # superseded ("write lazily" pays off here).
-                self.metrics.rewrites_absorbed += 1
-                self._unschedule_flush(file_id)
-            evicted: List[int] = []
-        else:
-            hit = False
-            evicted = self._insert(file_id, size, time, dirty=True)
-        if delay is None:
-            self._flush_now(file_id)
-        else:
-            self._dirty.add(file_id)
-            heapq.heappush(
-                self._flush_queue,
-                (time + delay, file_id, self._flush_version.get(file_id, 0)),
-            )
-        return AccessOutcome(hit=hit, evicted=evicted)
-
-    def _write_batch(self, file_id: int, size: int, time: float) -> None:
-        """Outcome-free mirror of :meth:`_write` for the batch hot loop.
-
-        Keep in sync with :meth:`_write`; the replay-equivalence tests
-        pin the two paths to identical metrics and state.
-        """
-        metrics = self.metrics
-        metrics.writes += 1
-        metrics.bytes_written += size
-        sizes_map = self._sizes
-        if file_id in sizes_map:
-            self.policy.on_access(file_id, time, is_write=True)
-            if file_id in self._dirty:
                 metrics.rewrites_absorbed += 1
                 self._unschedule_flush(file_id)
         else:
-            self._insert(file_id, size, time, dirty=True)
+            evicted = self._insert(file_id, size, time, dirty=True)
         delay = self._writeback_delay
         if delay is None:
             self._flush_now(file_id)
@@ -340,6 +314,7 @@ class ManagedDiskCache:
                 self._flush_queue,
                 (time + delay, file_id, self._flush_version.get(file_id, 0)),
             )
+        return evicted
 
     # ------------------------------------------------------------------
     # Flushing (tape writes)

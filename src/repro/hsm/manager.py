@@ -8,21 +8,19 @@ write-back, and measure what prefetching buys.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 from repro.hsm.cache import CacheConfig, ManagedDiskCache
 from repro.hsm.metrics import HSMMetrics
 from repro.hsm.prefetch import PrefetchConfig, SequentialPrefetcher
-from repro.migration.opt import OptimalPolicy
 from repro.migration.policy import MigrationPolicy
-from repro.migration.registry import make_policy
 from repro.namespace.model import Namespace
 from repro.workload.generator import SyntheticTrace
 
 if TYPE_CHECKING:
     from repro.engine.batch import EventBatch
+    from repro.verify.invariants import HSMInvariantChecker
 
 #: One reference: (file_id, size_bytes, time_seconds, is_write).  Legacy
 #: per-tuple form; the pipeline moves :class:`EventBatch`es instead.
@@ -41,25 +39,31 @@ class HSMConfig:
         capacity_bytes: int,
         writeback_delay: Optional[float] = 4 * 3600.0,
         prefetch: bool = False,
-        prefetch_depth: int = 2,
     ) -> "HSMConfig":
         """Convenience constructor used by the benches."""
         return HSMConfig(
             cache=CacheConfig(
                 capacity_bytes=capacity_bytes, writeback_delay=writeback_delay
             ),
-            prefetch=PrefetchConfig(enabled=prefetch, depth=prefetch_depth),
+            prefetch=PrefetchConfig(enabled=prefetch),
         )
 
 
 class HSM:
-    """A managed disk tier in front of the tape archive."""
+    """A managed disk tier in front of the tape archive.
+
+    :meth:`feed` and :meth:`finalize` are the one replay kernel: the DES
+    (:meth:`replay`), sweep cells and serve sessions all apply prepared
+    batches through them, so the ``hsm-batch`` fault point and the
+    runtime invariant checker are wired here and nowhere else.
+    """
 
     def __init__(
         self,
         config: HSMConfig,
         policy: MigrationPolicy,
         namespace: Optional[Namespace] = None,
+        site: str = "hsm.replay",
     ) -> None:
         self.config = config
         self.policy = policy
@@ -69,6 +73,18 @@ class HSM:
             if namespace is None:
                 raise ValueError("prefetching needs the namespace for siblings")
             self.prefetcher = SequentialPrefetcher(namespace, config.prefetch)
+        #: Where invariant violations are reported.
+        self.site = site
+        #: Batches applied by :meth:`feed`: the ``hsm-batch`` fault index.
+        self.batches_fed = 0
+        self._checker: Optional["HSMInvariantChecker"] = None
+
+    def __getstate__(self) -> dict:
+        # The checker observes this process's feeds only; a pickled HSM
+        # (a session snapshot) never carries one.
+        state = self.__dict__.copy()
+        state["_checker"] = None
+        return state
 
     @property
     def metrics(self) -> HSMMetrics:
@@ -111,70 +127,71 @@ class HSM:
         self.cache.flush_all()
         return self.metrics
 
-    def replay(self, batches: Iterable["EventBatch"]) -> HSMMetrics:
-        """Replay a stream of columnar :class:`EventBatch`es.
-
-        Produces metrics identical to feeding the same events through
-        :meth:`run` one tuple at a time, but drives the cache through its
-        batch access path (buffered hit runs, no per-event allocations).
-        With prefetching enabled the per-event path is used, because every
-        access outcome feeds the prefetcher.
-
-        With ``REPRO_CHECK_INVARIANTS=1`` every batch is followed by a
-        conservation-law check (and ``flush_all`` by the at-finalize
-        laws); the ``hsm-batch`` fault point lets the chaos harness
-        corrupt a counter deliberately to prove the checker catches it.
-        """
-        from repro.engine.resilience import fault_point
+    def _invariant_checker(self) -> Optional["HSMInvariantChecker"]:
+        """The live checker while ``REPRO_CHECK_INVARIANTS`` is on."""
         from repro.verify.invariants import (
             HSMInvariantChecker, invariants_enabled,
         )
 
-        checker = (
-            HSMInvariantChecker(
-                self.cache, prefetch=self.prefetcher is not None
+        if not invariants_enabled():
+            self._checker = None
+        elif self._checker is None:
+            self._checker = HSMInvariantChecker(
+                self.cache, site=self.site,
+                prefetch=self.prefetcher is not None,
+                first_batch=self.batches_fed,
             )
-            if invariants_enabled()
-            else None
+        return self._checker
+
+    def feed(self, batch: "EventBatch") -> None:
+        """Apply one prepared batch (see :func:`repro.engine.stream.prepare_batch`).
+
+        Produces the state that feeding the same events through
+        :meth:`handle` one tuple at a time would, but drives the cache
+        through its batch access path (buffered hit runs, no per-event
+        allocations).  With prefetching enabled every event goes through
+        :meth:`handle`, because each access outcome feeds the prefetcher.
+
+        With ``REPRO_CHECK_INVARIANTS=1`` every batch is followed by the
+        conservation-law check and a structural audit of the cache; the
+        ``hsm-batch`` fault point lets the chaos harness corrupt a
+        counter deliberately to prove the checker catches it.
+        """
+        from repro.engine.resilience import fault_point
+
+        checker = self._invariant_checker()
+        columns = (
+            batch.file_id.tolist(),
+            batch.size.tolist(),
+            batch.time.tolist(),
+            batch.is_write.tolist(),
         )
-        faulted = bool(os.environ.get("REPRO_FAULT_PLAN"))
-        index = 0
-        if self.prefetcher is not None:
-            for batch in batches:
-                handle = self.handle
-                for event in zip(
-                    batch.file_id.tolist(),
-                    batch.size.tolist(),
-                    batch.time.tolist(),
-                    batch.is_write.tolist(),
-                ):
-                    handle(event)
-                if faulted and "corrupt" in fault_point(
-                    "hsm-batch", f"batch:{index}"
-                ):
-                    self.cache.metrics.read_hits += 1
-                if checker is not None:
-                    checker.after_batch(batch)
-                index += 1
+        if self.prefetcher is None:
+            self.cache.access_batch(*columns)
         else:
-            for batch in batches:
-                self.cache.access_batch(
-                    batch.file_id.tolist(),
-                    batch.size.tolist(),
-                    batch.time.tolist(),
-                    batch.is_write.tolist(),
-                )
-                if faulted and "corrupt" in fault_point(
-                    "hsm-batch", f"batch:{index}"
-                ):
-                    self.cache.metrics.read_hits += 1
-                if checker is not None:
-                    checker.after_batch(batch)
-                index += 1
+            handle = self.handle
+            for event in zip(*columns):
+                handle(event)
+        index = self.batches_fed
+        self.batches_fed = index + 1
+        if "corrupt" in fault_point("hsm-batch", f"batch:{index}"):
+            self.cache.metrics.read_hits += 1
+        if checker is not None:
+            checker.after_batch(batch)
+
+    def finalize(self) -> HSMMetrics:
+        """Flush the write-back queue and check the at-finalize laws."""
+        checker = self._invariant_checker()
         self.cache.flush_all()
         if checker is not None:
             checker.finalize()
         return self.metrics
+
+    def replay(self, batches: Iterable["EventBatch"]) -> HSMMetrics:
+        """Replay a prepared batch stream: feed every batch, then finalize."""
+        for batch in batches:
+            self.feed(batch)
+        return self.finalize()
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +207,7 @@ def events_from_trace(
     (migration decisions would not see batch-script re-requests, Section 6).
 
     Legacy record-walking implementation, kept as the reference the
-    engine's columnar pipeline (:func:`repro.engine.stream.hsm_event_batches`)
+    engine's columnar pipeline (:func:`repro.engine.replay.prepare_stream`)
     is verified against; new code should use the engine path.
     """
     from repro.trace.filters import dedupe_for_file_analysis, strip_errors
@@ -205,39 +222,3 @@ def events_from_trace(
             (entry.file_id, max(entry.size, 1), record.start_time, record.is_write)
         )
     return events
-
-
-def run_policy(
-    events: List[Event],
-    policy_name: str,
-    capacity_bytes: int,
-    namespace: Optional[Namespace] = None,
-    writeback_delay: Optional[float] = 4 * 3600.0,
-    prefetch: bool = False,
-) -> HSMMetrics:
-    """Run one named policy over an event stream."""
-    if policy_name == "opt":
-        policy: MigrationPolicy = OptimalPolicy.from_events(
-            (file_id, time) for file_id, _, time, _ in events
-        )
-    else:
-        policy = make_policy(policy_name)
-    config = HSMConfig.with_capacity(
-        capacity_bytes, writeback_delay=writeback_delay, prefetch=prefetch
-    )
-    hsm = HSM(config, policy, namespace=namespace)
-    return hsm.run(events)
-
-
-def capacity_sweep(
-    events: List[Event],
-    policy_name: str,
-    total_bytes: int,
-    fractions: Iterable[float],
-    namespace: Optional[Namespace] = None,
-) -> Iterator[Tuple[float, HSMMetrics]]:
-    """Miss ratio vs capacity: the Smith-style curve of Section 2.3."""
-    for fraction in fractions:
-        capacity = max(int(total_bytes * fraction), 1)
-        metrics = run_policy(events, policy_name, capacity, namespace=namespace)
-        yield fraction, metrics

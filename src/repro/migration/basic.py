@@ -18,7 +18,6 @@ class LRUPolicy(MigrationPolicy):
     """Migrate the least recently used file first."""
 
     name = "lru"
-    is_inclusion_preserving = True
 
     def rank(self, meta: ResidentFile, now: float) -> float:
         return now - meta.last_access
@@ -28,7 +27,6 @@ class FIFOPolicy(MigrationPolicy):
     """Migrate the longest-resident file first, ignoring reuse."""
 
     name = "fifo"
-    is_inclusion_preserving = True
 
     def rank(self, meta: ResidentFile, now: float) -> float:
         return now - meta.inserted_at
@@ -38,7 +36,6 @@ class LargestFirstPolicy(MigrationPolicy):
     """Lawrie's "pure length": migrate the biggest file first."""
 
     name = "largest-first"
-    is_inclusion_preserving = True
 
     def rank(self, meta: ResidentFile, now: float) -> float:
         return float(meta.size)
@@ -48,7 +45,6 @@ class SmallestFirstPolicy(MigrationPolicy):
     """Migrate the smallest file first (a deliberately bad control)."""
 
     name = "smallest-first"
-    is_inclusion_preserving = True
 
     def rank(self, meta: ResidentFile, now: float) -> float:
         return -float(meta.size)
@@ -71,7 +67,6 @@ class MRUPolicy(MigrationPolicy):
     """Migrate the most recently used file (pathological control)."""
 
     name = "mru"
-    is_inclusion_preserving = True
 
     def rank(self, meta: ResidentFile, now: float) -> float:
         return -(now - meta.last_access)

@@ -33,16 +33,6 @@ class MigrationPolicy:
 
     name = "base"
 
-    #: Whether ``rank`` is a monotone transform of a single static,
-    #: capacity-independent per-file key (insertion time, last access,
-    #: or size) at every instant.  Such policies produce nested victim
-    #: orderings across capacities, so the stack-distance engine
-    #: (:mod:`repro.engine.stackdist`) can replay a whole capacity sweep
-    #: in one pass.  Policies with history-dependent or stochastic ranks
-    #: (STP's size*age^alpha product, SAAC's decayed rates, random)
-    #: must leave this False and take the per-capacity DES path.
-    is_inclusion_preserving: bool = False
-
     def __init__(self) -> None:
         self._resident: Dict[int, ResidentFile] = {}
 

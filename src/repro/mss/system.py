@@ -141,19 +141,6 @@ class MSSSystem:
             )
         return out, self.metrics
 
-    def replay_batches(
-        self, batches: Iterable["EventBatch"], namespace: "Namespace"
-    ) -> Tuple[List[TraceRecord], MetricsCollector]:
-        """Replay a columnar batch stream.
-
-        Batches flow straight from the generator; the record-view adapter
-        materializes per-request views lazily, so no intermediate record
-        list exists before submission.
-        """
-        from repro.engine.records import records_from_batches
-
-        return self.replay(records_from_batches(batches, namespace))
-
     def replay_columns(
         self, batches: Iterable["EventBatch"], namespace: "Namespace"
     ) -> Tuple[List["EventBatch"], MetricsCollector]:

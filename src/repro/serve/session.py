@@ -29,13 +29,12 @@ import numpy as np
 from repro.analysis.accumulators import OverallAccumulator
 from repro.engine.batch import EventBatch
 from repro.engine.resilience import fault_point, write_json_atomic
-from repro.engine.stream import BlockDeduper, EIGHT_HOURS
+from repro.engine.stream import BlockDeduper, prepare_batch
 from repro.hsm.manager import HSM, HSMConfig
 from repro.serve.journal import SessionJournal
 from repro.trace.record import Device
 from repro.util.units import DAY, HOUR
 from repro.verify.invariants import (
-    HSMInvariantChecker,
     check_journal_recovery,
     invariant_context,
     invariants_enabled,
@@ -45,6 +44,12 @@ SESSION_META_NAME = "session.json"
 
 #: session.json format marker.
 SESSION_MAGIC = "repro-serve-session"
+
+#: Layout tag of the pickled :class:`ReplaySession` state.  Bump it when
+#: a change adds or renames attributes of the session or the objects it
+#: holds: :meth:`JournaledSession.open` ignores snapshots without the
+#: current tag and rebuilds the state from the journal instead.
+SESSION_LAYOUT = 2
 
 
 class SessionError(RuntimeError):
@@ -187,14 +192,16 @@ class ReplaySession:
     def __init__(self, spec: SessionSpec) -> None:
         from repro.migration.registry import make_policy
 
+        self.layout = SESSION_LAYOUT
         self.spec = spec
         self.hsm = HSM(
             HSMConfig.with_capacity(
                 spec.capacity_bytes, writeback_delay=spec.writeback_delay
             ),
             make_policy(spec.policy, seed=spec.policy_seed),
+            site=f"serve.session:{spec.name}",
         )
-        self.deduper = BlockDeduper(EIGHT_HOURS) if spec.deduped else None
+        self.deduper = BlockDeduper() if spec.deduped else None
         self.accumulators: List[OverallAccumulator] = [
             OverallAccumulator() for _ in spec.labels
         ]
@@ -230,7 +237,11 @@ class ReplaySession:
         replayed = 0
         if n:
             self._account_tenants(batch)
-            replayed = self._replay(batch)
+            prepared = prepare_batch(batch, self.deduper)
+            replayed = len(prepared)
+            if replayed:
+                with self._invariant_context():
+                    self.hsm.feed(prepared)
             self.last_time = float(batch.time[-1])
             self.window.push(_WindowEntry(
                 end_time=self.last_time,
@@ -262,37 +273,6 @@ class ReplaySession:
             if len(part):
                 self.accumulators[rank].add(part)
 
-    def _replay(self, batch: EventBatch) -> int:
-        """Error-strip, dedupe, clamp, and push one chunk through the HSM."""
-        good = batch.good()
-        if self.deduper is not None and len(good):
-            good = self.deduper.apply(good)
-        if not len(good):
-            return 0
-        sizes = np.maximum(good.size, 1)
-        # The checker is created per chunk (never pickled into snapshots):
-        # its construction snapshots the counters, so the delta laws see
-        # exactly this chunk's contribution.
-        checker = (
-            HSMInvariantChecker(
-                self.hsm.cache,
-                site=f"serve.session:{self.spec.name}",
-                deep_every=1,
-            )
-            if invariants_enabled()
-            else None
-        )
-        self.hsm.cache.access_batch(
-            good.file_id.tolist(),
-            sizes.tolist(),
-            good.time.tolist(),
-            good.is_write.tolist(),
-        )
-        if checker is not None:
-            with self._invariant_context():
-                checker.after_batch(dataclasses.replace(good, size=sizes))
-        return len(good)
-
     def _invariant_context(self):
         return invariant_context(
             engine="session", session=self.spec.name,
@@ -305,11 +285,9 @@ class ReplaySession:
     def finalize(self) -> dict:
         """Flush the write-back queue and seal the session."""
         if not self.finalized:
-            self.hsm.cache.flush_all()
             self.finalized = True
-            if invariants_enabled():
-                with self._invariant_context():
-                    HSMInvariantChecker(self.hsm.cache).finalize()
+            with self._invariant_context():
+                self.hsm.finalize()
         return self.metrics()
 
     # ------------------------------------------------------------------
@@ -460,12 +438,12 @@ class JournaledSession:
         journaled.journal = SessionJournal(session_dir)
         journaled.journal.repair()
 
-        applied, state = journaled.journal.load_snapshot()
-        if state is None:
-            session = ReplaySession(spec)
-            applied = 0
-        else:
-            session = state
+        applied, session = journaled.journal.load_snapshot()
+        if getattr(session, "layout", None) != SESSION_LAYOUT:
+            # No snapshot, or one pickled by an older layout whose objects
+            # lack attributes this code reads: the journal holds every
+            # acked chunk, so rebuild from chunk 0.
+            applied, session = 0, ReplaySession(spec)
         # Replay the journal tail through the production feed path: the
         # recovered state is *computed*, not copied, so it is exactly
         # what an uninterrupted server would hold.

@@ -272,10 +272,12 @@ class HSMInvariantChecker:
     """Per-batch and at-finalize laws for a :class:`ManagedDiskCache` feed.
 
     Call :meth:`after_batch` once per applied batch and :meth:`finalize`
-    after the closing ``flush_all``.  ``prefetch=True`` relaxes the
-    staged-bytes bound (speculative staging legitimately stages bytes no
-    read event asked for).  Every ``deep_every`` batches the cache's own
-    structural audit (``check_invariants``) runs too.
+    after the closing ``flush_all``; both end with the cache's own
+    structural audit (``check_invariants``).  ``prefetch=True`` relaxes
+    the staged-bytes bound (speculative staging legitimately stages
+    bytes no read event asked for).  ``first_batch`` is the stream index
+    of the first batch this checker sees, so a bundle's ``window_start``
+    stays aligned when checking starts mid-stream (a restored session).
     """
 
     def __init__(
@@ -284,14 +286,13 @@ class HSMInvariantChecker:
         *,
         site: str = "hsm.replay",
         prefetch: bool = False,
-        deep_every: int = 64,
+        first_batch: int = 0,
     ) -> None:
         self.cache = cache
         self.site = site
         self.prefetch = prefetch
-        self.deep_every = max(int(deep_every), 1)
         self.window: Deque[Any] = deque(maxlen=WINDOW_BATCHES)
-        self._batches = 0
+        self._batches = first_batch
         self._snap = self._snapshot()
 
     def _snapshot(self) -> Dict[str, int]:
@@ -375,8 +376,7 @@ class HSMInvariantChecker:
                 usage=self.cache.usage_bytes,
                 capacity=self.cache.config.capacity_bytes,
             )
-        if self._batches % self.deep_every == 0:
-            self._deep_check()
+        self._deep_check()
 
     def _deep_check(self) -> None:
         try:

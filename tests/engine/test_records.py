@@ -87,12 +87,14 @@ def test_error_batches_render_error_records(tiny_trace):
     assert records[2].mss_path == namespace.path_of(1)
 
 
-def test_mss_replay_batches_smoke(tiny_trace):
+def test_mss_replay_of_batch_records_smoke(tiny_trace):
     """Batches drive the DES end to end through the adapter."""
     from repro.mss.system import MSSConfig, MSSSystem
 
     batches = list(tiny_trace.iter_batches(chunk_size=2048))[:2]
     system = MSSSystem(MSSConfig(seed=1))
-    records, metrics = system.replay_batches(batches, tiny_trace.namespace)
+    records, metrics = system.replay(
+        records_from_batches(batches, tiny_trace.namespace)
+    )
     assert len(records) == sum(len(b) for b in batches)
     assert any(r.startup_latency > 0 for r in records if not r.is_error)

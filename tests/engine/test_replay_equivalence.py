@@ -11,9 +11,24 @@ import pytest
 
 from repro.engine import prepare_stream, replay_policy
 from repro.engine.batch import rechunk
-from repro.hsm.manager import HSM, HSMConfig, events_from_trace, run_policy
+from repro.hsm.manager import HSM, HSMConfig, events_from_trace
+from repro.migration.opt import OptimalPolicy
+from repro.migration.registry import make_policy
 
 POLICIES = ("lru", "stp", "saac", "fifo", "mru", "largest-first", "opt")
+
+
+def run_per_tuple(events, policy_name, capacity, namespace=None,
+                  writeback_delay=4 * 3600.0, prefetch=False):
+    """The per-tuple oracle: ``HSM.run`` over ``events_from_trace`` tuples."""
+    if policy_name == "opt":
+        policy = OptimalPolicy.from_events((fid, t) for fid, _, t, _ in events)
+    else:
+        policy = make_policy(policy_name)
+    config = HSMConfig.with_capacity(
+        capacity, writeback_delay=writeback_delay, prefetch=prefetch
+    )
+    return HSM(config, policy, namespace=namespace).run(events)
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +40,7 @@ def streams(tiny_trace):
 def test_metrics_identical_across_paths(policy, tiny_trace, streams):
     events, batches = streams
     capacity = int(tiny_trace.namespace.total_bytes * 0.02)
-    legacy = run_policy(events, policy, capacity)
+    legacy = run_per_tuple(events, policy, capacity)
     engine = replay_policy(batches, policy, capacity)
     assert dataclasses.asdict(legacy) == dataclasses.asdict(engine)
     assert engine.mean_read_latency() == pytest.approx(
@@ -39,7 +54,7 @@ def test_metrics_identical_across_paths(policy, tiny_trace, streams):
 def test_equivalence_with_eager_writeback(tiny_trace, streams):
     events, batches = streams
     capacity = int(tiny_trace.namespace.total_bytes * 0.05)
-    legacy = run_policy(events, "stp", capacity, writeback_delay=None)
+    legacy = run_per_tuple(events, "stp", capacity, writeback_delay=None)
     engine = replay_policy(batches, "stp", capacity, writeback_delay=None)
     assert dataclasses.asdict(legacy) == dataclasses.asdict(engine)
 
@@ -47,7 +62,7 @@ def test_equivalence_with_eager_writeback(tiny_trace, streams):
 def test_equivalence_with_prefetch(tiny_trace, streams):
     events, batches = streams
     capacity = int(tiny_trace.namespace.total_bytes * 0.03)
-    legacy = run_policy(
+    legacy = run_per_tuple(
         events, "stp", capacity, namespace=tiny_trace.namespace, prefetch=True
     )
     engine = replay_policy(

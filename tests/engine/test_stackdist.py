@@ -125,15 +125,6 @@ def test_resolve_engine():
         resolve_engine("warp", "lru")
 
 
-def test_inclusion_preserving_flag_matches_engine_support():
-    """The policy-layer flag and the engine's support set must agree."""
-    from repro.migration.registry import available_policies, make_policy
-
-    for name in available_policies():
-        policy = make_policy(name)
-        assert policy.is_inclusion_preserving == supports_policy(name), name
-
-
 def test_invalid_capacities_rejected(stream):
     with pytest.raises(ValueError, match="positive"):
         multi_capacity_replay(stream, "lru", [0])

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.hsm.manager import HSM, HSMConfig, capacity_sweep, events_from_trace, run_policy
+from repro.engine import capacity_sweep_batches, prepare_stream, replay_policy
+from repro.engine.batch import EventBatch
+from repro.hsm.manager import HSM, HSMConfig, events_from_trace
 from repro.hsm.metrics import HSMMetrics
 from repro.hsm.prefetch import PrefetchConfig, SequentialPrefetcher
 from repro.migration.basic import LRUPolicy
@@ -99,9 +101,9 @@ def test_hsm_run_accumulates():
 
 
 def test_hsm_small_cache_misses_more():
-    events = _synthetic_events()
-    big = run_policy(events, "lru", capacity_bytes=10_000)
-    small = run_policy(events, "lru", capacity_bytes=300)
+    batches = [EventBatch.from_columns(*zip(*_synthetic_events()))]
+    big = replay_policy(batches, "lru", capacity_bytes=10_000)
+    small = replay_policy(batches, "lru", capacity_bytes=300)
     assert small.read_miss_ratio > big.read_miss_ratio
 
 
@@ -129,11 +131,11 @@ def test_events_from_trace_dedupe_reduces(tiny_trace):
 
 
 def test_opt_is_lower_bound(tiny_trace):
-    events = events_from_trace(tiny_trace)
+    batches = prepare_stream(tiny_trace)
     capacity = int(tiny_trace.namespace.total_bytes * 0.02)
-    opt = run_policy(events, "opt", capacity, namespace=tiny_trace.namespace)
-    lru = run_policy(events, "lru", capacity, namespace=tiny_trace.namespace)
-    stp = run_policy(events, "stp", capacity, namespace=tiny_trace.namespace)
+    opt = replay_policy(batches, "opt", capacity, namespace=tiny_trace.namespace)
+    lru = replay_policy(batches, "lru", capacity, namespace=tiny_trace.namespace)
+    stp = replay_policy(batches, "stp", capacity, namespace=tiny_trace.namespace)
     assert opt.read_miss_ratio <= lru.read_miss_ratio + 1e-9
     assert opt.read_miss_ratio <= stp.read_miss_ratio + 1e-9
 
@@ -141,10 +143,10 @@ def test_opt_is_lower_bound(tiny_trace):
 def test_policy_ordering_matches_literature(calib_trace):
     """Lawrie/Smith: STP best of the simple online policies; size-only and
     MRU are poor."""
-    events = events_from_trace(calib_trace)
+    batches = prepare_stream(calib_trace)
     capacity = int(calib_trace.namespace.total_bytes * 0.015)
     results = {
-        name: run_policy(events, name, capacity, namespace=calib_trace.namespace)
+        name: replay_policy(batches, name, capacity, namespace=calib_trace.namespace)
         for name in ("stp", "lru", "largest-first", "mru", "random")
     }
     assert results["stp"].read_miss_ratio <= results["lru"].read_miss_ratio + 0.01
@@ -154,32 +156,32 @@ def test_policy_ordering_matches_literature(calib_trace):
 
 
 def test_capacity_sweep_monotone(tiny_trace):
-    events = events_from_trace(tiny_trace)
+    batches = prepare_stream(tiny_trace)
     total = tiny_trace.namespace.total_bytes
     fractions = [0.005, 0.02, 0.08]
     misses = [
         metrics.read_miss_ratio
-        for _, metrics in capacity_sweep(events, "stp", total, fractions)
+        for _, metrics in capacity_sweep_batches(batches, "stp", total, fractions)
     ]
     assert misses[0] >= misses[1] >= misses[2]
 
 
 def test_lazy_writeback_saves_tape_writes(tiny_trace):
-    events = events_from_trace(tiny_trace)
+    batches = prepare_stream(tiny_trace)
     capacity = int(tiny_trace.namespace.total_bytes * 0.05)
-    lazy = run_policy(events, "stp", capacity, writeback_delay=8 * 3600.0)
-    eager = run_policy(events, "stp", capacity, writeback_delay=None)
+    lazy = replay_policy(batches, "stp", capacity, writeback_delay=8 * 3600.0)
+    eager = replay_policy(batches, "stp", capacity, writeback_delay=None)
     assert lazy.tape_writes <= eager.tape_writes
     assert lazy.rewrites_absorbed >= 0
 
 
 def test_prefetch_improves_miss_ratio(calib_trace):
     """Sequential prefetch should convert sibling misses into hits."""
-    events = events_from_trace(calib_trace)
+    batches = prepare_stream(calib_trace)
     capacity = int(calib_trace.namespace.total_bytes * 0.03)
-    plain = run_policy(events, "stp", capacity, namespace=calib_trace.namespace)
-    fetched = run_policy(
-        events, "stp", capacity, namespace=calib_trace.namespace, prefetch=True
+    plain = replay_policy(batches, "stp", capacity, namespace=calib_trace.namespace)
+    fetched = replay_policy(
+        batches, "stp", capacity, namespace=calib_trace.namespace, prefetch=True
     )
     assert fetched.prefetches_issued > 0
     assert fetched.prefetch_hits > 0

@@ -239,13 +239,6 @@ def test_make_policy_seeds_stochastic_policies():
     assert isinstance(make_policy("lru", seed=7), LRUPolicy)
 
 
-def test_inclusion_preserving_flags():
-    expected = {"lru", "mru", "fifo", "largest-first", "smallest-first"}
-    for name in available_policies():
-        policy = make_policy(name)
-        assert policy.is_inclusion_preserving == (name in expected), name
-
-
 def test_register_policy_rejects_duplicates():
     with pytest.raises(ValueError):
         register_policy("lru", LRUPolicy)

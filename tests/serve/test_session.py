@@ -8,13 +8,15 @@ re-opened at any point recovers that state bit-identically.
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.engine.batch import EventBatch
-from repro.engine.stream import BlockDeduper
-from repro.hsm.manager import HSM, HSMConfig
-from repro.migration.registry import make_policy
+from repro.engine.replay import replay_policy
+from repro.engine.stream import hsm_batches_from_stream
 from repro.serve.session import (
     JournaledSession,
     ReplaySession,
@@ -48,28 +50,11 @@ def _spec(**overrides) -> SessionSpec:
     return SessionSpec(**base)
 
 
-def _offline_metrics(chunks, spec: SessionSpec):
-    """The batch engine's answer on the same stream (reference)."""
-    hsm = HSM(
-        HSMConfig.with_capacity(
-            spec.capacity_bytes, writeback_delay=spec.writeback_delay
-        ),
-        make_policy(spec.policy, seed=spec.policy_seed),
-    )
-    deduper = BlockDeduper()
+def _full_stream(chunks, spec: SessionSpec) -> ReplaySession:
+    session = ReplaySession(spec)
     for chunk in chunks:
-        good = chunk.good()
-        if spec.deduped and len(good):
-            good = deduper.apply(good)
-        if len(good):
-            hsm.cache.access_batch(
-                good.file_id.tolist(),
-                np.maximum(good.size, 1).tolist(),
-                good.time.tolist(),
-                good.is_write.tolist(),
-            )
-    hsm.cache.flush_all()
-    return hsm.metrics
+        session.feed(chunk)
+    return session
 
 
 class TestSessionSpec:
@@ -101,19 +86,21 @@ class TestSessionSpec:
 
 class TestReplaySession:
     def test_matches_offline_engine(self, chunk_stream):
-        spec = _spec()
-        session = ReplaySession(spec)
-        for chunk in chunk_stream:
-            session.feed(chunk)
-        session.finalize()
-        reference = _offline_metrics(chunk_stream, spec)
-        hsm = session.metrics()["hsm"]
-        assert hsm["reads"] == reference.reads
-        assert hsm["read_misses"] == reference.read_misses
-        assert hsm["bytes_staged"] == reference.bytes_staged
-        assert hsm["bytes_written"] == reference.bytes_written
-        assert hsm["evictions"] == reference.evictions
-        assert hsm["read_miss_ratio"] == reference.read_miss_ratio
+        for deduped in (True, False):
+            spec = _spec(deduped=deduped)
+            session = _full_stream(chunk_stream, spec)
+            session.finalize()
+            batches = list(hsm_batches_from_stream(chunk_stream, deduped=deduped))
+            reference = replay_policy(
+                batches, spec.policy, spec.capacity_bytes,
+                writeback_delay=spec.writeback_delay,
+                policy_seed=spec.policy_seed,
+            )
+            expected = dataclasses.asdict(reference)
+            hsm = session.metrics()["hsm"]
+            assert {name: hsm[name] for name in expected} == expected, deduped
+            assert hsm["read_miss_ratio"] == reference.read_miss_ratio
+            assert session.events_replayed == sum(len(b) for b in batches)
 
     def test_chunking_is_invisible(self, chunk_stream):
         spec = _spec()
@@ -184,6 +171,20 @@ class TestReplaySession:
         session.feed(chunk_stream[1])
         assert session.applied_chunks == 3
 
+    def test_pickle_carries_no_invariant_checker(self, chunk_stream, monkeypatch):
+        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
+        session = ReplaySession(_spec())
+        session.feed(chunk_stream[0])
+        assert session.hsm._checker is not None
+        payload = pickle.dumps(session)
+        assert b"HSMInvariantChecker" not in payload
+        restored = pickle.loads(payload)
+        assert restored.hsm._checker is None
+        for chunk in chunk_stream[1:]:
+            session.feed(chunk)
+            restored.feed(chunk)
+        assert restored.finalize() == session.finalize()
+
 
 class TestJournaledSession:
     def test_reopen_recovers_bit_identically(self, tmp_path, chunk_stream):
@@ -215,10 +216,30 @@ class TestJournaledSession:
 
         recovered = JournaledSession.open(tmp_path / "s")
         assert recovered.next_seq == len(chunk_stream)
-        reference = ReplaySession(spec)
-        for chunk in chunk_stream:
-            reference.feed(chunk)
+        reference = _full_stream(chunk_stream, spec)
         assert recovered.session.metrics() == reference.metrics()
+
+    def test_reopen_ignores_snapshot_without_layout_tag(self, tmp_path, chunk_stream):
+        spec = _spec()
+        journaled = JournaledSession.create(tmp_path / "s", spec,
+                                            snapshot_every=10_000)
+        for seq, chunk in enumerate(chunk_stream[:4]):
+            journaled.feed(chunk, seq)
+        # A snapshot in an older object layout (no tag, no kernel
+        # attributes) holding stale state: one chunk, claimed as four.
+        stale = _full_stream(chunk_stream[:1], spec)
+        for obj, name in ((stale, "layout"), (stale.hsm, "site"),
+                          (stale.hsm, "batches_fed")):
+            delattr(obj, name)
+        journaled.journal.write_snapshot(4, stale)
+        journaled.journal.close()
+
+        recovered = JournaledSession.open(tmp_path / "s")
+        assert recovered.next_seq == 4
+        for seq, chunk in enumerate(chunk_stream[4:], start=4):
+            recovered.feed(chunk, seq)
+        reference = _full_stream(chunk_stream, spec)
+        assert recovered.finalize() == reference.finalize()
 
     def test_duplicate_chunk_acks_without_reapplying(self, tmp_path, chunk_stream):
         journaled = JournaledSession.create(tmp_path / "s", _spec())

@@ -9,6 +9,7 @@ bundle replays the violation deterministically.
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
@@ -201,3 +202,33 @@ def test_session_chunk_corruption_is_caught(invariants_on):
     with pytest.raises(InvariantViolation) as excinfo:
         session.feed(chunks[1])
     assert "serve.session" in excinfo.value.site
+
+
+def test_hsm_batch_fault_trips_on_session_feed(invariants_on, tmp_path, monkeypatch):
+    """Sessions feed the same kernel as the DES, so the ``hsm-batch``
+    fault point reaches them and the violation names the session."""
+    chunks = synth_chunks(4, 200, seed=9)
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({"rules": [{
+        "site": "hsm-batch", "match": "batch:2", "action": "corrupt",
+    }]}))
+    monkeypatch.setenv("REPRO_FAULT_PLAN", str(plan_path))
+    session = ReplaySession(SessionSpec(
+        name="faulty", policy="lru", capacity_bytes=CAPACITY,
+    ))
+    session.feed(chunks[0])
+    session.feed(chunks[1])
+    # A snapshot round trip drops the checker; its successor must count
+    # from the stream index so the bundle's window stays aligned.
+    session = pickle.loads(pickle.dumps(session))
+    with pytest.raises(InvariantViolation) as excinfo:
+        session.feed(chunks[2])
+    violation = excinfo.value
+    assert violation.site == "serve.session:faulty"
+    assert violation.law == "hit-miss-partition"
+    assert violation.context["engine"] == "session"
+    meta, window = load_quarantine_bundle(violation.bundle)
+    assert meta["window_start"] == 2 and len(window) == 1
+
+    monkeypatch.delenv("REPRO_FAULT_PLAN")
+    assert replay_bundle(violation.bundle)["reproduced"]
