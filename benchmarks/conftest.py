@@ -14,7 +14,6 @@ read the saved bench output) to see the tables.
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
@@ -39,15 +38,13 @@ def bench_runs_root() -> str:
 
 
 def dump_bench_timings(timings: dict, configs: dict = None) -> None:
-    """Report measured timings: registry RunRecords + the legacy sink.
+    """Report measured timings as registry RunRecords.
 
     The one shared sink every throughput benchmark reports through.
     Each top-level ``{benchmark: payload}`` entry becomes one bench-kind
     RunRecord under :func:`bench_runs_root` (the substrate of ``repro
     runs trajectory``); ``configs`` optionally carries a per-benchmark
-    config dict recorded alongside.  When ``REPRO_BENCH_TIMINGS`` names
-    a file, the timings also merge into that JSON dump (CI uploads it as
-    a build artifact).
+    config dict recorded alongside.
     """
     from repro.registry import record_bench_run
 
@@ -56,16 +53,6 @@ def dump_bench_timings(timings: dict, configs: dict = None) -> None:
         record_bench_run(
             root, benchmark, payload, config=(configs or {}).get(benchmark)
         )
-    path = os.environ.get("REPRO_BENCH_TIMINGS")
-    if not path:
-        return
-    existing = {}
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as handle:
-            existing = json.load(handle)
-    existing.update(timings)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(existing, handle, indent=1, sort_keys=True)
 
 
 @pytest.fixture(scope="session")

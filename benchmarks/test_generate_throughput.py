@@ -11,8 +11,8 @@ vectorized pair must beat the scalar pair by >= 4x combined.
 A statistical sanity check pins the vectorized outputs to the scalar
 ones (device shares, hour preservation), so the speed never comes at the
 cost of the numbers.  ``REPRO_BENCH_RELAXED=1`` skips the hard timing
-gate on noisy CI wall-clocks; ``REPRO_BENCH_TIMINGS=<path>`` dumps the
-measured timings as JSON (CI uploads them as a build artifact).
+gate on noisy CI wall-clocks; the measured timings land as a bench
+RunRecord in the runs root (``REPRO_RUNS_DIR``, default ``.runs/``).
 """
 
 import os

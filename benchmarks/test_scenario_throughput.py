@@ -12,8 +12,8 @@ Two gates on a two-component scenario:
   bit-identical to the cold one.
 
 ``REPRO_BENCH_RELAXED=1`` keeps the identity checks but skips the hard
-timing gate (shared CI runners have noisy wall-clocks);
-``REPRO_BENCH_TIMINGS=<path>`` dumps the measured timings as JSON.
+timing gate (shared CI runners have noisy wall-clocks); the measured
+timings land as a bench RunRecord in the runs root.
 """
 
 import os

@@ -12,7 +12,8 @@ Gates on a synthetic chunked stream:
   journal tail, so it beats full-journal recovery on a long session.
 
 ``REPRO_BENCH_RELAXED=1`` keeps the identity checks but skips the
-timing gates; ``REPRO_BENCH_TIMINGS=<path>`` dumps measured timings.
+timing gates; the measured timings land as a bench RunRecord in the
+runs root.
 """
 
 import os

@@ -12,9 +12,9 @@ on hardest):
   the capture-once/analyze-many split.
 
 A bit-identity check pins the stored stream to the generated one, so the
-speed never comes at the cost of the numbers.  Set
-``REPRO_BENCH_TIMINGS=<path>`` to dump the measured timings as JSON (CI
-uploads them as a build artifact).
+speed never comes at the cost of the numbers.  The measured timings
+land as a bench RunRecord in the runs root (``REPRO_RUNS_DIR``, default
+``.runs/``).
 """
 
 import os

@@ -4,12 +4,12 @@ A :class:`FaultPlan` builds the JSON plan that
 :func:`repro.engine.resilience.fault_point` reads via the
 ``REPRO_FAULT_PLAN`` environment variable: which production fault point
 to trip (by site + label substring), what to do there (SIGKILL the
-worker, sleep, raise, interrupt the parent, count executions, corrupt a
-counter), and how often (every hit, exactly once across all processes,
-or on the Nth hit).  Everything is file-based, so rules coordinate
-across forked workers without shared memory: exactly-once uses an
-``O_EXCL`` flag file, task counters append to a log the caller reads
-back.
+worker or the parent, sleep, raise, interrupt the parent, count
+executions, corrupt a counter), and how often (every hit, exactly once
+across all processes, or on the Nth hit).  Everything is file-based, so
+rules coordinate across forked workers without shared memory:
+exactly-once uses an ``O_EXCL`` flag file, task counters append to a
+log the caller reads back.
 
 Because the coordination state lives in files, *hygiene matters*: a
 consumed ``once_path`` flag silently disarms the same plan on its next
@@ -101,6 +101,12 @@ class FaultPlan:
         """SIGTERM the parent right after the Nth checkpoint lands (a
         simulated orchestrator stop mid-sweep)."""
         self._rule("parent-checkpoint", "sigterm", after=n,
+                   counter_path=str(self._scratch("counter")))
+
+    def kill_after_checkpoints(self, n: int) -> None:
+        """SIGKILL the parent right after the Nth checkpoint lands (a
+        crashed sweep process: nothing runs after the checkpoint)."""
+        self._rule("parent-checkpoint", "kill", after=n,
                    counter_path=str(self._scratch("counter")))
 
     # -- service-side faults ------------------------------------------------

@@ -222,14 +222,12 @@ def _resolve_run(runs_root: str, name: str) -> Optional[dict]:
     """A run entry by directory name, run/config-hash prefix, or unique match."""
     from repro.registry.record import scan_runs_root
 
-    entries = scan_runs_root(runs_root)
     matches = [
         entry
-        for entry in entries
-        if entry["name"] == name
-        or (entry["config_hash"] or "").startswith(name)
+        for entry in scan_runs_root(runs_root)
+        if entry["name"] in (name, f"sweep-{name}")
         or (entry["run_hash"] or "").startswith(name)
-        or entry["name"] == f"sweep-{name}"
+        or (getattr(entry["record"], "config_hash", None) or "").startswith(name)
     ]
     return matches[0] if len(matches) == 1 else None
 
@@ -240,7 +238,7 @@ def _cmd_runs_list(args: argparse.Namespace) -> int:
 
     entries = scan_runs_root(args.runs_dir)
     _cmd_runs_warn(entries)
-    entries = [entry for entry in entries if not entry.get("corrupt")]
+    entries = [entry for entry in entries if entry["record"] is not None]
     if not entries:
         print(f"no runs under {args.runs_dir}")
         return 0
@@ -249,25 +247,20 @@ def _cmd_runs_list(args: argparse.Namespace) -> int:
         title=f"Runs in {args.runs_dir}",
     )
     for entry in entries:
-        summary = entry.get("summary") or {}
-        n_tasks = summary.get("n_tasks")
-        if n_tasks is not None:
-            tasks = f"{entry['checkpointed']}/{n_tasks}"
-        elif entry.get("checkpointed"):
-            tasks = str(entry["checkpointed"])
-        else:
-            tasks = "-"
-        rows = entry["rows"]
-        if rows is None:
-            rows = summary.get("rows", "-")
+        record = entry["record"]
+        metrics = record.metrics
+        tasks = "-"
+        if "n_tasks" in metrics:
+            done = metrics.get("tasks_executed", 0) + metrics.get("tasks_resumed", 0)
+            tasks = f"{done}/{metrics['n_tasks']}"
         table.add_row(
             entry["name"],
-            entry.get("kind") or "?",
-            entry["status"],
+            record.kind,
+            record.status,
             tasks,
-            str(rows),
-            str(len(summary.get("failed_cells", []) or []) or "-"),
-            str(summary.get("retries", "-")),
+            str(len(record.rows)),
+            str(len(metrics.get("failed_cells") or []) or "-"),
+            str(metrics.get("retries", "-")),
         )
     print(table.render())
     return 0
@@ -277,7 +270,7 @@ def _cmd_runs_show(args: argparse.Namespace) -> int:
     import json
 
     from repro.analysis.render import TextTable
-    from repro.engine.resilience import load_checkpoints
+    from repro.registry.record import cell_key
 
     run = _resolve_run(args.runs_dir, args.run)
     if run is None:
@@ -287,75 +280,59 @@ def _cmd_runs_show(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    if run.get("corrupt"):
+    record = run["record"]
+    if record is None:
         print(
             f"warning: run dir {run['name']} is damaged "
             f"({', '.join(run['corrupt'])}); showing what remains",
             file=sys.stderr,
         )
-    from repro.registry.record import load_run_record
-
-    summary = run["summary"]
-    record = load_run_record(run["path"])
     print(f"run:     {run['name']}")
     print(f"path:    {run['path']}")
-    print(
-        f"kind:    {run.get('kind') or 'sweep'} "
-        f"(schema v{run.get('schema_version', 1)})"
-    )
-    if run.get("run_hash"):
+    if record is not None:
+        print(f"kind:    {record.kind} (schema v{record.schema_version})")
         print(f"hash:    {run['run_hash']}")
-    print(f"config:  {run['config_hash']}")
+        print(f"config:  {record.config_hash}")
     print(f"status:  {run['status']}")
-    if summary is not None:
+    if record is None:
+        return 0
+    metrics = record.metrics
+    if "tasks_executed" in metrics:
         print(
-            f"tasks:   {summary.get('tasks_executed', '?')} executed + "
-            f"{summary.get('tasks_resumed', '?')} resumed + "
-            f"{summary.get('tasks_failed', '?')} failed "
-            f"(of {summary.get('n_tasks', '?')}), "
-            f"{summary.get('retries', '?')} retries"
+            f"tasks:   {metrics['tasks_executed']} executed + "
+            f"{metrics.get('tasks_resumed', '?')} resumed + "
+            f"{metrics.get('tasks_failed', '?')} failed "
+            f"(of {metrics.get('n_tasks', '?')}), "
+            f"{metrics.get('retries', '?')} retries"
         )
     if args.json:
-        # v2 dirs dump the full registry record; bare v1 dirs keep the
-        # PR-7 behavior of dumping run_summary.json.
-        if record is not None and run.get("run_hash"):
-            print(json.dumps(record.to_payload(), indent=1, sort_keys=True))
-        else:
-            print(json.dumps(summary, indent=1, sort_keys=True))
+        print(json.dumps(record.to_payload(), indent=1, sort_keys=True))
         return 0
-    records = load_checkpoints(run["path"])
-    if records:
+    # A sweep's failed cells have no row; list them after the recorded ones.
+    cells = record.rows + [
+        {
+            "cell": cell_key(cell["scenario"], cell["seed"], cell["policy"],
+                             cell["capacity_fraction"]),
+            "meta": {"status": "failed", "attempts": cell["attempts"]},
+        }
+        for cell in metrics.get("failed_cells") or []
+    ]
+    if cells:
         table = TextTable(
-            ["task", "status", "attempts", "rows", "seconds"],
-            title=f"Checkpointed tasks ({len(records)})",
+            ["cell", "status", "attempts", "metrics"],
+            title=f"Recorded cells ({len(cells)})",
         )
-        for key, task_record in sorted(records.items()):
-            task = task_record.get("task") or {}
-            label = (
-                f"{task.get('scenario') or 'classic'}:"
-                f"s{task.get('seed')}:{task.get('policy')}"
-            )
-            table.add_row(
-                f"{label} [{key[:8]}]",
-                str(task_record.get("status", "?")),
-                str(task_record.get("attempts", "?")),
-                str(len(task_record.get("rows", []) or [])),
-                f"{task_record.get('elapsed_seconds', 0.0):.2f}",
-            )
-        print(table.render())
-    elif record is not None and record.rows:
-        table = TextTable(
-            ["cell", "metrics"],
-            title=f"Recorded cells ({len(record.rows)})",
-        )
-        for row in record.rows[:40]:
+        for row in cells[:40]:
+            meta = row.get("meta") or {}
             table.add_row(
                 str(row.get("cell", "?")),
-                str(len(row.get("values", {}) or {})),
+                str(meta.get("status", "-")),
+                str(meta.get("attempts", "-")),
+                str(len(row.get("values") or {})),
             )
         print(table.render())
-        if len(record.rows) > 40:
-            print(f"  ... {len(record.rows) - 40} more cells")
+        if len(cells) > 40:
+            print(f"  ... {len(cells) - 40} more cells")
     return 0
 
 
@@ -1305,13 +1282,14 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(func=_cmd_runs_list)
 
     r = runs_sub.add_parser(
-        "show", help="one run's record, summary, and checkpoint table"
+        "show", help="one run's record: status, task counters, and a "
+        "per-cell table with attempts and status"
     )
     r.add_argument("runs_dir", help="runs root (the --run-dir)")
     r.add_argument("run", help="run directory name or run/config-hash prefix")
     r.add_argument("--json", action="store_true",
-                   help="dump the run record (v2) or summary (v1) as JSON "
-                   "instead of the task table")
+                   help="dump the run record as JSON instead of the cell "
+                   "table")
     r.set_defaults(func=_cmd_runs_show)
 
     r = runs_sub.add_parser(

@@ -33,8 +33,6 @@ from repro.engine.resilience import (
     RetryPolicy,
     TaskOutcome,
     fault_point,
-    list_runs,
-    load_run_summary,
     run_supervised,
     sigterm_as_interrupt,
     sweep_config_hash,
@@ -89,8 +87,6 @@ __all__ = [
     "dedupe_blocks",
     "device_at",
     "device_index",
-    "list_runs",
-    "load_run_summary",
     "log_spaced_fractions",
     "multi_capacity_replay",
     "open_or_generate",

@@ -7,17 +7,13 @@ content-addressed store cache -- used to die wholesale on a single
 worker crash.  This module is the substrate that makes partial failure
 survivable:
 
-* **Checkpointed runs.**  A sweep with a ``run_dir`` persists every
-  completed task as one JSON record in a content-addressed run
-  directory keyed by the :func:`sweep_config_hash` of its
-  ``SweepConfig`` (runtime-only knobs like worker count excluded, so a
-  resume may use a different machine shape).  Layout::
-
-      <runs_root>/sweep-<config-hash>/
-        config.json         # canonical config + hash
-        tasks/<hash>.json   # one record per completed SweepTask
-        run_summary.json    # written when the run finishes (or is
-                            # interrupted), the durable run record
+* **Checkpoint addressing.**  A sweep with a ``run_dir`` checkpoints
+  into ``<runs_root>/sweep-<config-hash>/run_record.json``, keyed by the
+  :func:`sweep_config_hash` of its ``SweepConfig`` (runtime-only knobs
+  like worker count excluded, so a resume may use a different machine
+  shape).  The record itself is written by :mod:`repro.engine.sweep`
+  through the registry's :class:`~repro.registry.record.RunRecord`;
+  :func:`write_json_atomic` makes every rewrite all-or-nothing.
 
 * **Supervised workers.**  :func:`run_supervised` replaces a bare
   ``pool.map``: a bounded submission loop over a
@@ -52,9 +48,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 #: Environment variable naming the JSON fault plan; unset = inert hooks.
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
-
-#: Manifest magic for run_summary.json.
-RUN_MAGIC = "repro-sweep-run"
 
 #: SweepConfig fields that do not change results: excluded from the run
 #: hash so a resume can change machine shape, retry budget, or cache
@@ -170,7 +163,7 @@ def sigterm_as_interrupt():
     """Deliver SIGTERM as :class:`KeyboardInterrupt` inside the block.
 
     ``run_sweep`` already converts Ctrl-C into a clean ``interrupted``
-    run summary; orchestrators (including the ``repro serve``
+    run record; orchestrators (including the ``repro serve``
     supervisor) stop children with SIGTERM instead, which by default
     kills the process before any checkpoint lands.  Inside this block
     both signals take the same KeyboardInterrupt path, so either way of
@@ -473,7 +466,7 @@ def run_supervised(
 
 
 # ---------------------------------------------------------------------------
-# Checkpointed run directories
+# Atomic JSON and checkpoint addressing
 
 
 def _json_default(obj: Any) -> Any:
@@ -488,8 +481,8 @@ def write_json_atomic(path: Union[str, Path], payload: dict) -> None:
     """Write a JSON document atomically (temp file + ``os.replace``).
 
     Readers never observe a half-written file: they see either the old
-    content or the new one.  Shared by the sweep checkpoints and the
-    service layer's session metadata / shutdown summaries.
+    content or the new one.  Shared by the run records and the service
+    layer's session metadata / shutdown summaries.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -499,152 +492,17 @@ def write_json_atomic(path: Union[str, Path], payload: dict) -> None:
     os.replace(tmp, path)
 
 
-# Backward-compatible private alias (pre-service-layer name).
-_write_json_atomic = write_json_atomic
-
-
-def canonical_sweep_config(config: Any) -> dict:
-    """A SweepConfig as a JSON-stable dict, runtime-only knobs removed."""
+def sweep_config_hash(config: Any) -> str:
+    """Content address of one sweep's result-determining configuration:
+    every ``SweepConfig`` field except :data:`RUNTIME_FIELDS`."""
     import dataclasses
 
-    return {
-        name: value
-        for name, value in dataclasses.asdict(config).items()
-        if name not in RUNTIME_FIELDS
-    }
-
-
-def sweep_config_hash(config: Any) -> str:
-    """Content address of one sweep's result-determining configuration."""
     canon = json.dumps(
-        canonical_sweep_config(config), sort_keys=True, separators=(",", ":")
+        {
+            name: value
+            for name, value in dataclasses.asdict(config).items()
+            if name not in RUNTIME_FIELDS
+        },
+        sort_keys=True, separators=(",", ":"),
     )
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
-
-
-def run_dir_for(runs_root: Union[str, Path], config: Any) -> Path:
-    """The run directory one SweepConfig addresses under ``runs_root``."""
-    return Path(runs_root) / f"sweep-{sweep_config_hash(config)}"
-
-
-def prepare_run_dir(runs_root: Union[str, Path], config: Any) -> Path:
-    """Create (or re-enter) the run directory for one config."""
-    run_dir = run_dir_for(runs_root, config)
-    (run_dir / "tasks").mkdir(parents=True, exist_ok=True)
-    config_path = run_dir / "config.json"
-    if not config_path.is_file():
-        _write_json_atomic(config_path, {
-            "format": RUN_MAGIC,
-            "config_hash": sweep_config_hash(config),
-            "config": canonical_sweep_config(config),
-            "created_at": time.time(),
-        })
-    return run_dir
-
-
-def checkpoint_task(run_dir: Union[str, Path], key: str, payload: dict) -> Path:
-    """Persist one completed task's record atomically; returns its path."""
-    path = Path(run_dir) / "tasks" / f"{key}.json"
-    _write_json_atomic(path, payload)
-    return path
-
-
-def load_checkpoints(run_dir: Union[str, Path]) -> Dict[str, dict]:
-    """Every readable task record in a run directory, keyed by task hash.
-
-    Corrupt or half-written records are skipped (their tasks simply
-    re-run), so a crash mid-checkpoint can never wedge a resume.
-    """
-    tasks_dir = Path(run_dir) / "tasks"
-    if not tasks_dir.is_dir():
-        return {}
-    records: Dict[str, dict] = {}
-    for path in sorted(tasks_dir.glob("*.json")):
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                records[path.stem] = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            continue
-    return records
-
-
-def write_run_summary(run_dir: Union[str, Path], summary: dict) -> Path:
-    """Write ``run_summary.json``: the durable record of one run."""
-    payload = dict(summary)
-    payload.setdefault("format", RUN_MAGIC)
-    payload["written_at"] = time.time()
-    path = Path(run_dir) / "run_summary.json"
-    _write_json_atomic(path, payload)
-    return path
-
-
-def load_run_summary(run_dir: Union[str, Path]) -> Optional[dict]:
-    """The run summary, or None if never written / unreadable.
-
-    A summary that parses but is not a JSON object (a truncated or
-    mangled file that still decodes, e.g. ``null`` or a bare string) is
-    treated as unreadable: callers can rely on dict methods.
-    """
-    path = Path(run_dir) / "run_summary.json"
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            summary = json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        return None
-    return summary if isinstance(summary, dict) else None
-
-
-def list_runs(runs_root: Union[str, Path]) -> List[dict]:
-    """Every run directory under ``runs_root`` (for ``repro runs list``).
-
-    Corrupt or partially-written run dirs -- a ``config.json`` or
-    ``run_summary.json`` that is missing, truncated, or not a JSON
-    object -- never raise.  Each record carries a ``corrupt`` list
-    naming the damaged files so the CLI can warn and keep going.
-    """
-    runs_root = Path(runs_root)
-    if not runs_root.is_dir():
-        return []
-    runs: List[dict] = []
-    for path in sorted(runs_root.iterdir()):
-        if not path.is_dir():
-            continue
-        config_path = path / "config.json"
-        summary_path = path / "run_summary.json"
-        if not config_path.is_file() and not summary_path.is_file():
-            continue  # not a run dir at all
-        corrupt: List[str] = []
-        config: dict = {}
-        if config_path.is_file():
-            try:
-                with open(config_path, "r", encoding="utf-8") as handle:
-                    loaded = json.load(handle)
-                if isinstance(loaded, dict):
-                    config = loaded
-                else:
-                    corrupt.append("config.json")
-            except (OSError, json.JSONDecodeError):
-                corrupt.append("config.json")
-        else:
-            corrupt.append("config.json")
-        summary = load_run_summary(path)
-        if summary is None and summary_path.is_file():
-            corrupt.append("run_summary.json")
-        tasks_dir = path / "tasks"
-        checkpointed = (
-            len(list(tasks_dir.glob("*.json"))) if tasks_dir.is_dir() else 0
-        )
-        runs.append({
-            "name": path.name,
-            "path": str(path),
-            "config_hash": config.get("config_hash"),
-            "created_at": config.get("created_at"),
-            "checkpointed": checkpointed,
-            "status": (
-                "corrupt" if corrupt
-                else (summary or {}).get("status", "in-progress")
-            ),
-            "summary": summary,
-            "corrupt": corrupt,
-        })
-    return runs

@@ -14,41 +14,42 @@ Execution is fault-tolerant (:mod:`repro.engine.resilience`): workers
 run under supervision with per-task timeout and bounded retry, a
 SIGKILLed fork re-spawns the pool and requeues only the lost tasks, and
 exhausted retries degrade the result (``failed_cells`` annotated and
-rendered) instead of raising.  With a ``run_dir`` every completed task
-checkpoints into a content-addressed run directory, so an interrupted
-multi-hour grid resumes at task granularity (``resume=True`` /
-``repro sweep --resume``).
+rendered) instead of raising.  With a ``run_dir`` the run's
+``run_record.json`` (a registry
+:class:`~repro.registry.record.RunRecord`) is its checkpoint: every
+finished task's cells and the run's counters land in it atomically, so
+an interrupted multi-hour grid resumes at task granularity
+(``resume=True`` / ``repro sweep --resume``), and ``repro runs
+list|show|index`` read the same file.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import tempfile
 import time as _time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.engine.batch import DEFAULT_CHUNK_SIZE, EventBatch
 from repro.engine.replay import replay_policy
 from repro.engine.resilience import (
     RetryPolicy,
     TaskOutcome,
-    checkpoint_task,
     fault_point,
-    load_checkpoints,
-    prepare_run_dir,
     run_supervised,
     sigterm_as_interrupt,
     sweep_config_hash,
-    write_run_summary,
 )
 from repro.engine.stackdist import multi_capacity_replay, resolve_engine
 from repro.engine.store import TraceStore, open_or_generate
 from repro.hsm.metrics import HSMMetrics
 from repro.util.units import DAY
+
+if TYPE_CHECKING:  # run-time registry imports stay function-local
+    from repro.registry.record import RunRecord
 
 #: Capacity range (fractions of the referenced store) a point-count sweep
 #: spans: around the paper's ~1.5 % managed-disk operating point.
@@ -95,8 +96,8 @@ class SweepConfig:
     #: excludes runtime knobs like workers -- see
     #: :func:`repro.engine.resilience.sweep_config_hash`).
     run_dir: Optional[str] = None
-    #: Skip tasks already checkpointed in the run directory (requires
-    #: ``run_dir``): the Ctrl-C-then-rerun recovery path.
+    #: Restore tasks whose cells are already in the run's record
+    #: (requires ``run_dir``): the Ctrl-C-then-rerun recovery path.
     resume: bool = False
 
     def __post_init__(self) -> None:
@@ -194,26 +195,6 @@ def cell_seed(seed: int, scenario: Optional[str], policy: str, fraction: float) 
     return int.from_bytes(digest[:4], "little")
 
 
-def task_payload(task: SweepTask) -> dict:
-    """One task's identity as a JSON-stable dict (the checkpoint key)."""
-    key, policy, fractions, writeback_delay, use_stack = task
-    scenario, seed = key
-    return {
-        "scenario": scenario,
-        "seed": seed,
-        "policy": policy,
-        "fractions": list(fractions),
-        "writeback_delay": writeback_delay,
-        "use_stack": use_stack,
-    }
-
-
-def task_key(task: SweepTask) -> str:
-    """Content hash of one task: its checkpoint-record filename."""
-    canon = json.dumps(task_payload(task), sort_keys=True, separators=(",", ":"))
-    return hashlib.blake2s(canon.encode("utf-8")).hexdigest()[:20]
-
-
 def task_label(task: SweepTask) -> str:
     """Human-readable task name (fault-point label, retry jitter key)."""
     key, policy, fractions, _, _ = task
@@ -253,25 +234,28 @@ class FailedCell:
 
 
 def row_to_dict(row: SweepRow) -> dict:
-    """A SweepRow as a JSON-safe dict (checkpoint record payload)."""
+    """A SweepRow as a plain dict (the form the run record's cells take)."""
     return dataclasses.asdict(row)
 
 
-def row_from_dict(data: dict) -> SweepRow:
-    """Rebuild a SweepRow from its checkpoint record, bit-identically.
+def _row_from_cell(cell: dict) -> SweepRow:
+    """Rebuild a SweepRow from its run-record cell, bit-identically.
 
     JSON floats round-trip exactly (``repr`` shortest-float), so a
     resumed row equals the row the original run computed.
     """
+    values = dict(cell["values"])
+    capacity_bytes = values.pop("capacity_bytes")
+    meta = cell.get("meta") or {}
     return SweepRow(
-        seed=int(data["seed"]),
-        policy=data["policy"],
-        capacity_fraction=float(data["capacity_fraction"]),
-        capacity_bytes=int(data["capacity_bytes"]),
-        metrics=HSMMetrics(**data["metrics"]),
-        scenario=data.get("scenario"),
-        attempts=int(data.get("attempts", 1)),
-        status=data.get("status", "ok"),
+        seed=int(cell["seed"]),
+        policy=cell["policy"],
+        capacity_fraction=float(cell["capacity_fraction"]),
+        capacity_bytes=int(capacity_bytes),
+        metrics=HSMMetrics(**values),
+        scenario=cell.get("scenario"),
+        attempts=int(meta.get("attempts", 1)),
+        status=meta.get("status", "ok"),
     )
 
 
@@ -290,7 +274,7 @@ class SweepResult:
     des_cells: int = 0
     #: Cells whose task exhausted its retries (degraded, not raised).
     failed_cells: List[FailedCell] = field(default_factory=list)
-    #: Tasks executed this run / restored from checkpoints / failed.
+    #: Tasks executed this run / restored from the run record / failed.
     tasks_executed: int = 0
     tasks_resumed: int = 0
     tasks_failed: int = 0
@@ -579,77 +563,79 @@ def _build_tasks(config: SweepConfig) -> Tuple[List[SweepTask], int]:
     return tasks, stack_cells
 
 
-def _summary_payload(
-    config: SweepConfig, *, status: str, n_tasks: int, executed: int,
-    resumed: int, failed_tasks: int, retries: int,
-    failed_cells: List[FailedCell], n_rows: int,
-    prepare_seconds: float, replay_seconds: float,
-) -> dict:
-    return {
-        "config_hash": sweep_config_hash(config),
-        "config": dataclasses.asdict(config),
-        "status": status,
-        "n_tasks": n_tasks,
-        "n_cells": config.n_cells,
-        "tasks_executed": executed,
-        "tasks_resumed": resumed,
-        "tasks_failed": failed_tasks,
-        "retries": retries,
-        "rows": n_rows,
-        "failed_cells": [dataclasses.asdict(cell) for cell in failed_cells],
-        "prepare_seconds": prepare_seconds,
-        "replay_seconds": replay_seconds,
-        "workers": config.workers,
-    }
+def _open_run_record(
+    config: SweepConfig, run_dir: Path, tasks: List[SweepTask]
+) -> Tuple[RunRecord, Dict[int, List[SweepRow]]]:
+    """A fresh ``in-progress`` record for this run, and the rows it restores.
 
-
-def _write_sweep_record(
-    config: SweepConfig, run_dir: Path, result: SweepResult
-) -> None:
-    """Emit the registry's ``run_record.json`` next to the v1 artifacts.
-
-    The record is the run's registry identity (``repro runs index``
-    folds it into ``registry.sqlite``); the v1 files stay authoritative
-    for resume.  ``created_at`` comes from ``config.json`` so resuming
-    a run updates the same logical run rather than minting a new one.
+    ``created_at`` survives from any record already in ``run_dir``, so a
+    rerun updates one logical run.  With ``resume`` every task whose
+    cells are all in that record is restored from it, and those cells
+    carry over into the new record; every other task starts over.
     Registry imports stay local: :mod:`repro.registry.record` imports
     this package's sibling :mod:`repro.engine.resilience`.
     """
     from repro.registry.record import (
         RunRecord,
+        cell_key,
         default_code_versions,
-        sweep_rows_to_record_rows,
-        write_run_record,
+        load_run_record,
+        utcnow,
     )
 
-    created_at = None
-    try:
-        with open(run_dir / "config.json", "r", encoding="utf-8") as handle:
-            created_at = json.load(handle).get("created_at")
-    except (OSError, json.JSONDecodeError, AttributeError):
-        pass
+    previous = load_run_record(run_dir)
+    restored: Dict[int, List[SweepRow]] = {}
+    kept: List[dict] = []
+    if previous is not None and config.resume:
+        by_cell = {row.get("cell"): row for row in previous.rows}
+        for index, ((scenario, seed), policy, fractions, _, _) in enumerate(tasks):
+            cells = [
+                by_cell.get(cell_key(scenario, seed, policy, fraction))
+                for fraction in fractions
+            ]
+            if None not in cells:
+                restored[index] = [_row_from_cell(cell) for cell in cells]
+                kept.extend(cells)
     record = RunRecord(
         kind="sweep",
         config=dataclasses.asdict(config),
         config_hash=sweep_config_hash(config),
-        rows=sweep_rows_to_record_rows(
-            [row_to_dict(row) for row in result.rows]
-        ),
-        metrics={
-            "prepare_seconds": result.prepare_seconds,
-            "replay_seconds": result.replay_seconds,
-            "stack_cells": result.stack_cells,
-            "des_cells": result.des_cells,
-            "retries": result.retries,
-            "tasks_executed": result.tasks_executed,
-            "tasks_resumed": result.tasks_resumed,
-            "tasks_failed": result.tasks_failed,
-        },
-        status="degraded" if result.failed_cells else "complete",
-        created_at=created_at,
-        wall_seconds=result.elapsed_seconds,
+        rows=sorted(kept, key=lambda row: row["cell"]),
+        status="in-progress",
+        created_at=getattr(previous, "created_at", None) or utcnow(),
         code_versions=default_code_versions(),
     )
+    return record, restored
+
+
+def checkpoint_task(
+    run_dir: Path, record: RunRecord, rows: List[SweepRow]
+) -> None:
+    """Add one finished task's cells to the record and rewrite it.
+
+    A failed task adds no cells (its grid cells are in the record's
+    ``failed_cells`` counter instead).  The rewrite is atomic, so a
+    crash leaves the previous checkpoint intact.
+    """
+    from repro.registry.record import (
+        sweep_rows_to_record_rows,
+        write_run_record,
+    )
+
+    record.rows = sorted(
+        record.rows
+        + sweep_rows_to_record_rows([row_to_dict(row) for row in rows]),
+        key=lambda row: row["cell"],
+    )
+    write_run_record(run_dir, record)
+
+
+def write_run_summary(run_dir: Path, record: RunRecord, status: str) -> None:
+    """Set the run's status and rewrite its record: ``in-progress`` at
+    start, ``complete``/``degraded``/``interrupted`` at the end."""
+    from repro.registry.record import write_run_record
+
+    record.status = status
     write_run_record(run_dir, record)
 
 
@@ -660,11 +646,12 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     tasks retry under the config's :class:`RetryPolicy` budget and then
     degrade into ``failed_cells``.  ``KeyboardInterrupt`` still
     propagates -- after terminating the pool, cleaning the temp cache
-    dir, and (with a ``run_dir``) writing an ``interrupted`` summary, so
-    a rerun with ``resume=True`` recovers at task granularity.  SIGTERM
-    takes the same path (via :func:`sigterm_as_interrupt`), so an
-    orchestrator stopping the process gets the same clean checkpoint as
-    a Ctrl-C.
+    dir, and (with a ``run_dir``) leaving the run record at
+    ``interrupted``, so a rerun with ``resume=True`` recovers at task
+    granularity.  SIGTERM takes the same path (via
+    :func:`sigterm_as_interrupt`), so an orchestrator stopping the
+    process gets the same clean checkpoint as a Ctrl-C; a SIGKILL leaves
+    the record at ``in-progress`` with every task checkpointed so far.
     """
     with sigterm_as_interrupt():
         return _run_sweep(config)
@@ -672,6 +659,40 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
 def _run_sweep(config: SweepConfig) -> SweepResult:
     start = _time.perf_counter()
+    tasks, stack_cells = _build_tasks(config)
+    labels = [task_label(task) for task in tasks]
+
+    # Mutated by the per-task completion hook below; read by both the
+    # success path and the KeyboardInterrupt record.
+    results: Dict[int, List[SweepRow]] = {}
+    failed_cells: List[FailedCell] = []
+    counters = {"executed": 0, "failed": 0, "retries": 0}
+    prepared: Optional[float] = None
+
+    run_dir: Optional[Path] = None
+    record: Optional[RunRecord] = None
+    if config.run_dir is not None:
+        run_dir = Path(config.run_dir) / f"sweep-{sweep_config_hash(config)}"
+        record, results = _open_run_record(config, run_dir, tasks)
+    resumed = len(results)
+
+    def stamp(now: float) -> None:
+        """Refresh the record's counters and timings as of ``now``."""
+        ready = prepared if prepared is not None else now
+        record.metrics = {
+            "n_tasks": len(tasks),
+            "tasks_executed": counters["executed"],
+            "tasks_resumed": resumed,
+            "tasks_failed": counters["failed"],
+            "retries": counters["retries"],
+            "failed_cells": [dataclasses.asdict(cell) for cell in failed_cells],
+            "stack_cells": stack_cells,
+            "des_cells": config.n_cells - stack_cells,
+            "prepare_seconds": ready - start,
+            "replay_seconds": now - ready,
+        }
+        record.wall_seconds = now - start
+
     tempdir: Optional[tempfile.TemporaryDirectory] = None
     if config.cache_dir is None:
         tempdir = tempfile.TemporaryDirectory(
@@ -681,41 +702,15 @@ def _run_sweep(config: SweepConfig) -> SweepResult:
     else:
         cache_dir = config.cache_dir
 
-    run_dir: Optional[Path] = None
-    if config.run_dir is not None:
-        run_dir = prepare_run_dir(config.run_dir, config)
-    checkpoints = (
-        load_checkpoints(run_dir)
-        if run_dir is not None and config.resume
-        else {}
-    )
-
-    # Mutated by the per-task completion hook below; read by both the
-    # success path and the KeyboardInterrupt summary.
-    results: Dict[int, List[SweepRow]] = {}
-    failed_cells: List[FailedCell] = []
-    counters = {"executed": 0, "failed": 0, "retries": 0}
-    tasks: List[SweepTask] = []
-    prepared = start
-
     try:
+        if record is not None:
+            stamp(_time.perf_counter())
+            write_run_summary(run_dir, record, "in-progress")
         stores = _prepare_stores(config, cache_dir)
         prepared = _time.perf_counter()
 
-        tasks, stack_cells = _build_tasks(config)
-        keys = [task_key(task) for task in tasks]
-        labels = [task_label(task) for task in tasks]
-
-        # Resume: restore rows for checkpointed tasks, run the rest.
-        todo: List[int] = []
-        for index, key in enumerate(keys):
-            record = checkpoints.get(key)
-            if record is not None and record.get("status") in ("ok", "retried"):
-                results[index] = [row_from_dict(r) for r in record["rows"]]
-            else:
-                todo.append(index)
-        resumed = len(tasks) - len(todo)
-
+        # Resume: restored tasks already have rows; run the rest.
+        todo = [index for index in range(len(tasks)) if index not in results]
         retry = RetryPolicy(
             max_retries=config.max_retries,
             task_timeout=config.task_timeout,
@@ -744,15 +739,9 @@ def _run_sweep(config: SweepConfig) -> SweepResult:
                     )
                     for row in outcome.result
                 ]
-            if run_dir is not None:
-                checkpoint_task(run_dir, keys[index], {
-                    "task": task_payload(tasks[index]),
-                    "status": outcome.status,
-                    "attempts": outcome.attempts,
-                    "error": outcome.error,
-                    "elapsed_seconds": outcome.elapsed_seconds,
-                    "rows": [row_to_dict(row) for row in results.get(index, [])],
-                })
+            if record is not None:
+                stamp(_time.perf_counter())
+                checkpoint_task(run_dir, record, results.get(index, []))
                 fault_point("parent-checkpoint", labels[index])
 
         if config.workers == 1:
@@ -809,40 +798,19 @@ def _run_sweep(config: SweepConfig) -> SweepResult:
             retries=counters["retries"],
             run_path=str(run_dir) if run_dir is not None else None,
         )
-        if run_dir is not None:
-            write_run_summary(run_dir, _summary_payload(
-                config,
-                status="degraded" if failed_cells else "complete",
-                n_tasks=len(tasks),
-                executed=counters["executed"],
-                resumed=resumed,
-                failed_tasks=counters["failed"],
-                retries=counters["retries"],
-                failed_cells=failed_cells,
-                n_rows=len(rows),
-                prepare_seconds=result.prepare_seconds,
-                replay_seconds=result.replay_seconds,
-            ))
-            _write_sweep_record(config, run_dir, result)
+        if record is not None:
+            stamp(done)
+            write_run_summary(
+                run_dir, record, "degraded" if failed_cells else "complete"
+            )
         return result
     except KeyboardInterrupt:
         # The supervisor already terminated (not joined) its pool on the
-        # way out; leave a durable partial-run record so a rerun with
+        # way out; leave the record at ``interrupted`` so a rerun with
         # resume=True picks up from the checkpointed tasks.
-        if run_dir is not None:
-            write_run_summary(run_dir, _summary_payload(
-                config,
-                status="interrupted",
-                n_tasks=len(tasks),
-                executed=counters["executed"],
-                resumed=len(results) - counters["executed"],
-                failed_tasks=counters["failed"],
-                retries=counters["retries"],
-                failed_cells=failed_cells,
-                n_rows=sum(len(rows) for rows in results.values()),
-                prepare_seconds=prepared - start,
-                replay_seconds=_time.perf_counter() - prepared,
-            ))
+        if record is not None:
+            stamp(_time.perf_counter())
+            write_run_summary(run_dir, record, "interrupted")
         raise
     finally:
         if tempdir is not None:

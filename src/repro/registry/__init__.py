@@ -1,11 +1,11 @@
 """Experiment registry: a unified run ledger + cross-run SQLite index.
 
-The registry closes the loop the ROADMAP left half-open after PR 7:
+One file per run, one index over all of them:
 
 * :mod:`repro.registry.record` -- the versioned ``RunRecord`` schema
   every run-producing surface emits (``sweep --run-dir``, ``report``,
-  the throughput benchmarks, ``chaos run``, ``verify diff``), with v1
-  (PR-7 sweep run-dir) synthesis for backward compatibility.
+  the throughput benchmarks, ``chaos run``, ``verify diff``); a sweep's
+  record doubles as its resume checkpoint.
 * :mod:`repro.registry.index` -- ``registry.sqlite`` (WAL), folding run
   dirs into ``runs`` / ``cells`` / ``bench`` / ``baselines`` tables,
   idempotently keyed by content-addressed run hash.
@@ -48,7 +48,6 @@ from repro.registry.record import (  # noqa: F401
     new_run_dir,
     scan_runs_root,
     sweep_rows_to_record_rows,
-    synthesize_v1_sweep_record,
     write_run_record,
 )
 from repro.registry.views import (  # noqa: F401
@@ -89,6 +88,5 @@ __all__ = [
     "render_trajectory",
     "scan_runs_root",
     "sweep_rows_to_record_rows",
-    "synthesize_v1_sweep_record",
     "write_run_record",
 ]

@@ -1,12 +1,13 @@
 """The cross-run SQLite index: ``registry.sqlite``.
 
-One database per runs root folds every run directory -- sweeps, bench
-timings, report comparisons, chaos soaks, differential checks -- into
-four tables:
+One database per runs root folds every run directory's
+``run_record.json`` -- sweeps, bench timings, report comparisons, chaos
+soaks, differential checks, as :func:`~repro.registry.record.scan_runs_root`
+loads them -- into four tables:
 
 * ``runs``: one row per run hash, carrying the full canonical record
-  JSON (so nothing is lost in projection: unknown keys, nested metric
-  payloads, and v1-synthesized records all survive round trips).
+  JSON (so nothing is lost in projection: unknown keys and nested
+  metric payloads survive round trips).
 * ``cells``: one row per (run, cell, metric) scalar -- the comparable
   surface ``repro runs compare`` diffs.  Values keep SQLite's dynamic
   typing: JSON ints stay INTEGER, floats stay REAL (both are exact
@@ -19,8 +20,9 @@ four tables:
 
 Indexing is idempotent: the run hash is a content address, so re-running
 ``repro runs index`` over an unchanged root touches nothing, while a
-rewritten run directory (a resumed sweep, a re-run bench) replaces the
-stale rows recorded at the same path.  WAL mode keeps readers (CI
+rewritten run directory (a sweep checkpointed further, interrupted or
+resumed; a re-run bench) replaces the stale rows recorded at the same
+path.  WAL mode keeps readers (CI
 queries, trajectory renders) from blocking a concurrent index pass.
 """
 
@@ -36,7 +38,6 @@ from repro.registry.record import (
     RunRecord,
     canonical_json,
     flatten_metrics,
-    load_run_record,
     scan_runs_root,
 )
 
@@ -210,7 +211,7 @@ class RegistryIndex:
         kinds: Dict[str, int] = {}
         skipped: List[str] = []
         for entry in scan_runs_root(runs_root):
-            record = load_run_record(entry["path"])
+            record = entry["record"]
             if record is None:
                 skipped.append(entry["name"])
                 continue

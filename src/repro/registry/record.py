@@ -1,25 +1,19 @@
 """The versioned ``RunRecord``: one schema for every run artifact.
 
-PR 7 gave sweeps a content-addressed run directory (``config.json`` +
-``tasks/*.json`` + ``run_summary.json``); since then the repo has grown
-four more run-producing surfaces -- ``report``, ``bench``, ``chaos
-run``, ``verify diff`` -- each dumping its own ad-hoc JSON.  This module
-generalizes the run-dir format: every surface emits one
+Every run-producing surface -- ``sweep --run-dir``, ``report``,
+``bench``, ``chaos run``, ``verify diff`` -- writes one file, a
 ``run_record.json`` (schema v2) describing *what kind* of run it was,
 *which configuration* produced it, *what it measured* (per-cell rows +
 free-form metric payloads), and *how it ended* -- so the SQLite index
 (:mod:`repro.registry.index`) can fold heterogeneous runs into one
-queryable ledger.
+queryable ledger.  A sweep's record is also its checkpoint:
+:mod:`repro.engine.sweep` rewrites it as each task finishes and resumes
+from it, so :func:`load_run_record` is the one loader behind resume,
+``repro runs list|show`` and ``repro runs index``.
 
-Two compatibility contracts, both pinned by tests:
-
-* **Backward:** a v1 (PR-7) sweep run-dir with no ``run_record.json``
-  still loads -- :func:`load_run_record` synthesizes a v2 record from
-  ``config.json`` + ``run_summary.json`` + the checkpointed task rows,
-  so two years of old run dirs index cleanly.
-* **Forward:** unknown top-level JSON keys written by a future schema
-  are preserved in :attr:`RunRecord.extra` and round-trip through load,
-  re-write, and re-index untouched.
+Forward compatibility is pinned by tests: unknown top-level JSON keys
+written by a future schema are preserved in :attr:`RunRecord.extra` and
+round-trip through load, re-write, and re-index untouched.
 
 Identity is content-addressed: :meth:`RunRecord.run_hash` digests the
 canonical JSON payload, so a byte-identical record has one identity no
@@ -36,18 +30,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.engine.resilience import (
-    list_runs as _list_sweep_runs,
-    load_checkpoints,
-    load_run_summary,
-    write_json_atomic,
-)
+from repro.engine.resilience import write_json_atomic
 
 #: ``format`` marker inside every v2 run record.
 RECORD_FORMAT = "repro-run-record"
 
-#: Current schema version.  v1 is the PR-7 sweep run-dir layout (no
-#: ``run_record.json`` at all); bump this when a field changes meaning.
+#: Current schema version (v1 was a sweep run-dir layout without a
+#: ``run_record.json``); bump this when a field changes meaning.
 RECORD_VERSION = 2
 
 #: The record's filename inside a run directory.
@@ -214,14 +203,14 @@ class RunRecord:
 def sweep_rows_to_record_rows(
     row_dicts: List[Dict[str, Any]]
 ) -> List[Dict[str, Any]]:
-    """SweepRow checkpoint dicts -> registry rows, value-preserving.
+    """SweepRow dicts -> registry rows, value-preserving.
 
     The ``values`` dict carries every metrics counter plus the cell's
-    ``capacity_bytes`` exactly as the checkpoint stored them (JSON
-    floats round-trip, ints stay ints), so the index can later hand the
-    identical numbers back.  ``attempts``/``status`` are execution
-    metadata, not results: they go under ``meta`` where ``compare``
-    never looks (a retried cell is not a regression).
+    ``capacity_bytes`` exactly as the sweep computed them (JSON floats
+    round-trip, ints stay ints), so a resume and the index can later
+    hand the identical numbers back.  ``attempts``/``status`` are
+    execution metadata, not results: they go under ``meta`` where
+    ``compare`` never looks (a retried cell is not a regression).
     """
     rows = []
     for data in row_dicts:
@@ -272,91 +261,35 @@ def new_run_dir(
     return run_dir
 
 
-# ---------------------------------------------------------------------------
-# v1 (PR-7 sweep run-dir) synthesis
-
-
-def synthesize_v1_sweep_record(
-    run_dir: Union[str, Path]
-) -> Optional[RunRecord]:
-    """A v2 record view of a PR-7 sweep run directory, or None.
-
-    Rows come from the checkpointed task records (``tasks/*.json``), the
-    config and creation time from ``config.json``, and status/wall-time
-    from ``run_summary.json`` when present (an interrupted or
-    in-progress run synthesizes with whatever has landed so far).
-    """
-    run_dir = Path(run_dir)
-    config_path = run_dir / "config.json"
-    try:
-        with open(config_path, "r", encoding="utf-8") as handle:
-            config_doc = json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        return None
-    if not isinstance(config_doc, dict):
-        return None
-    summary = load_run_summary(run_dir) or {}
-    row_dicts = [
-        row
-        for _, task_record in sorted(load_checkpoints(run_dir).items())
-        if task_record.get("status") in ("ok", "retried")
-        for row in task_record.get("rows", []) or []
-    ]
-    wall = None
-    if "prepare_seconds" in summary or "replay_seconds" in summary:
-        wall = (summary.get("prepare_seconds") or 0.0) + (
-            summary.get("replay_seconds") or 0.0
-        )
-    extra_summary = {
-        name: summary[name]
-        for name in ("n_tasks", "tasks_executed", "tasks_resumed",
-                     "tasks_failed", "retries", "failed_cells")
-        if name in summary
-    }
-    return RunRecord(
-        kind="sweep",
-        config=config_doc.get("config", {}) or {},
-        config_hash=config_doc.get("config_hash"),
-        rows=sweep_rows_to_record_rows(row_dicts),
-        status=summary.get("status", "in-progress"),
-        created_at=config_doc.get("created_at"),
-        wall_seconds=wall,
-        schema_version=1,
-        extra={"summary": extra_summary} if extra_summary else {},
-        path=str(run_dir),
-    )
-
-
 def load_run_record(run_dir: Union[str, Path]) -> Optional[RunRecord]:
-    """The run record of one directory: v2 file, or synthesized v1.
+    """The run record of one directory, or None.
 
-    Returns None when the directory holds neither a readable
-    ``run_record.json`` nor a v1 sweep layout -- callers skip-and-warn.
+    None means the directory holds no readable ``run_record.json``
+    (missing, truncated, or not a JSON object) -- callers skip-and-warn,
+    and a sweep re-runs every task.
     """
     run_dir = Path(run_dir)
-    record_path = run_dir / RECORD_FILENAME
-    if record_path.is_file():
-        try:
-            with open(record_path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            if not isinstance(payload, dict):
-                return None
-            return RunRecord.from_payload(payload, path=str(run_dir))
-        except (OSError, json.JSONDecodeError, KeyError, ValueError):
+    try:
+        with open(run_dir / RECORD_FILENAME, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+        if not isinstance(payload, dict):
             return None
-    return synthesize_v1_sweep_record(run_dir)
+        return RunRecord.from_payload(payload, path=str(run_dir))
+    except (OSError, json.JSONDecodeError, KeyError, ValueError):
+        return None
 
 
 # ---------------------------------------------------------------------------
-# Runs-root scanning (shared by `repro runs list` and the index)
+# Runs-root scanning (shared by `repro runs list|show` and the index)
 
 
 def scan_runs_root(runs_root: Union[str, Path]) -> List[Dict[str, Any]]:
     """Every run directory under the root, deterministically ordered.
 
-    Recognizes both layouts: directories with a ``run_record.json``
-    (any kind) and bare v1 sweep dirs.  Damaged dirs never raise; each
-    entry's ``corrupt`` list names the unreadable files so the CLI can
+    A run directory is one holding a ``run_record.json``.  Each entry
+    carries the loaded ``record`` (None when the file is damaged) and
+    its ``run_hash``; a damaged dir never raises, it gets status
+    ``corrupt`` and a ``corrupt`` list naming the file, so the CLI can
     warn and keep going.  Ordering is created-at then run hash (name as
     the final tie-break), so ``repro runs list`` is stable no matter
     what order the filesystem returns.
@@ -364,57 +297,22 @@ def scan_runs_root(runs_root: Union[str, Path]) -> List[Dict[str, Any]]:
     runs_root = Path(runs_root)
     if not runs_root.is_dir():
         return []
-    sweep_records = {
-        rec["name"]: rec for rec in _list_sweep_runs(runs_root)
-    }
     entries: List[Dict[str, Any]] = []
     for path in sorted(runs_root.iterdir()):
-        if not path.is_dir():
-            continue
-        record_path = path / RECORD_FILENAME
-        v1 = sweep_records.get(path.name)
-        if not record_path.is_file() and v1 is None:
+        if not (path / RECORD_FILENAME).is_file():
             continue  # not a run dir at all
-        entry: Dict[str, Any] = {
+        record = load_run_record(path)
+        entries.append({
             "name": path.name,
             "path": str(path),
-            "kind": "sweep" if v1 is not None else None,
-            "run_hash": None,
-            "config_hash": (v1 or {}).get("config_hash"),
-            "created_at": None,
-            "schema_version": 1,
-            "status": (v1 or {}).get("status", "in-progress"),
-            "checkpointed": (v1 or {}).get("checkpointed", 0),
-            "rows": None,
-            "summary": (v1 or {}).get("summary"),
-            "corrupt": list((v1 or {}).get("corrupt", [])),
-        }
-        if record_path.is_file():
-            record = load_run_record(path)
-            if record is None:
-                entry["corrupt"].append(RECORD_FILENAME)
-                entry["status"] = "corrupt"
-            else:
-                entry.update({
-                    "kind": record.kind,
-                    "run_hash": record.run_hash(),
-                    "config_hash": record.config_hash,
-                    "created_at": record.created_at,
-                    "schema_version": record.schema_version,
-                    "rows": len(record.rows),
-                })
-                # The record is the durable word on how the run ended;
-                # v1 config/summary damage still warns but does not
-                # override a readable record's status.
-                if not entry["corrupt"]:
-                    entry["status"] = record.status
-        elif v1 is not None:
-            # created_at lives in config.json for v1 dirs.
-            entry["created_at"] = v1.get("created_at")
-        entries.append(entry)
+            "record": record,
+            "run_hash": record.run_hash() if record is not None else None,
+            "status": record.status if record is not None else "corrupt",
+            "corrupt": [] if record is not None else [RECORD_FILENAME],
+        })
     entries.sort(key=lambda e: (
-        e["created_at"] if e["created_at"] is not None else 0.0,
-        e["run_hash"] or e["config_hash"] or "",
+        getattr(e["record"], "created_at", None) or 0.0,
+        e["run_hash"] or "",
         e["name"],
     ))
     return entries

@@ -1,7 +1,7 @@
 """The ``repro runs`` registry verbs, end to end through ``main``.
 
 index -> query -> promote -> compare -> trajectory over a runs root
-holding v1 sweep dirs, v2 records, and damage; exit codes are the
+holding sweep, bench and verify records, and damage; exit codes are the
 contract CI scripts on (compare: 1 on regression, 2 on usage errors).
 """
 
@@ -12,29 +12,28 @@ from pathlib import Path
 
 from repro.core.cli import main
 from repro.registry.emit import record_bench_run, record_run
-from repro.registry.record import RECORD_FILENAME, load_run_record
+from repro.registry.record import (
+    RECORD_FILENAME,
+    RunRecord,
+    load_run_record,
+    sweep_rows_to_record_rows,
+    write_run_record,
+)
 
 
-def _v1_sweep_dir(root: Path, name: str = "sweep-aaaa000000000000") -> Path:
+def _sweep_dir(root: Path, name: str = "sweep-aaaa000000000000") -> Path:
     run = root / name
-    (run / "tasks").mkdir(parents=True)
-    (run / "config.json").write_text(json.dumps({
-        "format": "repro-sweep-run", "config_hash": name.split("-")[1],
-        "config": {"policies": ["lru"]}, "created_at": 50.0,
-    }))
-    (run / "run_summary.json").write_text(json.dumps({
-        "format": "repro-sweep-run", "status": "complete", "n_tasks": 1,
-        "tasks_executed": 1, "tasks_resumed": 0, "tasks_failed": 0,
-        "rows": 1, "retries": 0, "failed_cells": [],
-    }))
-    (run / "tasks" / "t.json").write_text(json.dumps({
-        "task": {"seed": 0, "policy": "lru"}, "status": "ok", "attempts": 1,
-        "rows": [{
+    write_run_record(run, RunRecord(
+        kind="sweep", config={"policies": ["lru"]},
+        config_hash=name.split("-")[1], created_at=50.0,
+        rows=sweep_rows_to_record_rows([{
             "seed": 0, "policy": "lru", "capacity_fraction": 0.01,
             "capacity_bytes": 1000, "scenario": None,
             "metrics": {"reads": 10, "read_misses": 3},
-        }],
-    }))
+        }]),
+        metrics={"n_tasks": 1, "tasks_executed": 1, "tasks_resumed": 0,
+                 "tasks_failed": 0, "retries": 0, "failed_cells": []},
+    ))
     return run
 
 
@@ -46,7 +45,7 @@ def _bench_point(root: Path, speedup: float, when: float) -> Path:
 
 def test_index_query_promote_compare_trajectory(tmp_path, capsys):
     root = tmp_path / "runs"
-    _v1_sweep_dir(root)
+    _sweep_dir(root)
     _bench_point(root, 3.5, 10.0)
     _bench_point(root, 4.5, 20.0)
     baseline = record_run(
@@ -64,10 +63,10 @@ def test_index_query_promote_compare_trajectory(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "indexed 5 new" in out
 
-    # v1 dirs index under their synthesized record.
+    # The sweep dir indexes alongside the emitted sweep records.
     assert main(["runs", "query", str(root), "--kind", "sweep"]) == 0
     out = capsys.readouterr().out
-    assert "v1" in out and "v2" in out
+    assert "Indexed runs (3)" in out and "v2" in out
 
     # Self-compare: exit 0, bit-identical.
     assert main(["runs", "compare", str(root), base_hash, base_hash]) == 0
@@ -152,7 +151,7 @@ def test_corrupt_record_dir_skips_and_warns(tmp_path, capsys):
 
 def test_runs_list_is_deterministic_with_kind_column(tmp_path, capsys):
     root = tmp_path / "runs"
-    _v1_sweep_dir(root)
+    _sweep_dir(root)
     _bench_point(root, 2.0, 100.0)
     record_run(root, kind="verify", config={},
                rows=[{"cell": "case-000", "values": {"ok": True}}],
@@ -164,7 +163,7 @@ def test_runs_list_is_deterministic_with_kind_column(tmp_path, capsys):
     lines = [line for line in out.splitlines() if line.strip()]
     order = [line.split()[1] for line in lines if line.lstrip().startswith(
         ("sweep-", "bench-", "verify-"))]
-    # created_at ordering: v1 sweep (50) < verify (75) < bench (100).
+    # created_at ordering: sweep (50) < verify (75) < bench (100).
     assert order == ["sweep", "verify", "bench"]
 
     assert main(["runs", "list", str(root)]) == 0
@@ -173,12 +172,14 @@ def test_runs_list_is_deterministic_with_kind_column(tmp_path, capsys):
 
 def test_runs_show_renders_both_schema_versions(tmp_path, capsys):
     root = tmp_path / "runs"
-    v1 = _v1_sweep_dir(root)
+    sweep = _sweep_dir(root)
     v2 = _bench_point(root, 2.0, 10.0)
 
-    assert main(["runs", "show", str(root), v1.name]) == 0
+    # A sweep record shows its task counters and a per-cell table.
+    assert main(["runs", "show", str(root), sweep.name]) == 0
     out = capsys.readouterr().out
-    assert "schema v1" in out and "Checkpointed tasks" in out
+    assert "1 executed" in out and "Recorded cells (1)" in out
+    assert "classic:s0:lru:0.01" in out and "attempts" in out
 
     assert main(["runs", "show", str(root), v2.name]) == 0
     out = capsys.readouterr().out

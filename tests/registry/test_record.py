@@ -1,9 +1,8 @@
-"""RunRecord schema contracts: round-trips, forward/backward compat.
+"""RunRecord schema contracts: round-trips and forward compat.
 
 Forward: unknown top-level JSON keys written by a future schema survive
-load -> rewrite -> re-load untouched.  Backward: a bare PR-7 sweep run
-dir (no ``run_record.json``) synthesizes a v1-schema record whose rows
-carry the checkpointed cell values exactly.
+load -> rewrite -> re-load untouched.  Runs-root scans find every dir
+holding a ``run_record.json`` and order them deterministically.
 """
 
 from __future__ import annotations
@@ -37,25 +36,19 @@ def _sweep_row(policy: str = "lru", fraction: float = 0.01) -> dict:
     }
 
 
-def _v1_sweep_dir(root: Path, name: str = "sweep-aaaa000000000000") -> Path:
+def _sweep_dir(root: Path, name: str = "sweep-aaaa000000000000") -> Path:
     run = root / name
-    (run / "tasks").mkdir(parents=True)
-    (run / "config.json").write_text(json.dumps({
-        "format": "repro-sweep-run",
-        "config_hash": name.split("-")[1],
-        "config": {"policies": ["lru"], "capacity_fractions": [0.01]},
-        "created_at": 100.0,
-    }))
-    (run / "run_summary.json").write_text(json.dumps({
-        "format": "repro-sweep-run", "status": "complete", "n_tasks": 1,
-        "tasks_executed": 1, "tasks_resumed": 0, "tasks_failed": 0,
-        "rows": 1, "retries": 1, "failed_cells": [],
-        "prepare_seconds": 1.5, "replay_seconds": 2.5,
-    }))
-    (run / "tasks" / "aabbcc.json").write_text(json.dumps({
-        "task": {"seed": 0, "policy": "lru"}, "status": "ok",
-        "attempts": 1, "rows": [_sweep_row()],
-    }))
+    write_run_record(run, RunRecord(
+        kind="sweep",
+        config={"policies": ["lru"], "capacity_fractions": [0.01]},
+        config_hash=name.split("-")[1],
+        rows=sweep_rows_to_record_rows([_sweep_row()]),
+        metrics={"n_tasks": 1, "tasks_executed": 1, "tasks_resumed": 0,
+                 "tasks_failed": 0, "retries": 1, "failed_cells": [],
+                 "prepare_seconds": 1.5, "replay_seconds": 2.5},
+        created_at=100.0,
+        wall_seconds=4.0,
+    ))
     return run
 
 
@@ -102,25 +95,6 @@ def test_unknown_keys_survive_load_and_rewrite(tmp_path):
     assert load_run_record(run_dir).run_hash() == loaded.run_hash()
 
 
-def test_v1_sweep_dir_synthesizes_v2_record(tmp_path):
-    run = _v1_sweep_dir(tmp_path)
-    record = load_run_record(run)
-    assert record is not None
-    assert record.kind == "sweep"
-    assert record.schema_version == 1
-    assert record.config_hash == "aaaa000000000000"
-    assert record.status == "complete"
-    assert record.created_at == 100.0
-    assert record.wall_seconds == 4.0
-    [row] = record.rows
-    assert row["cell"] == cell_key(None, 0, "lru", 0.01)
-    assert row["values"]["reads"] == 100
-    assert row["values"]["capacity_bytes"] == 123456789
-    # Execution metadata is not a compared value.
-    assert row["meta"] == {"attempts": 2, "status": "retried"}
-    assert "reads" not in row["meta"]
-
-
 def test_corrupt_record_returns_none(tmp_path):
     run = tmp_path / "bench-dead"
     run.mkdir()
@@ -136,6 +110,13 @@ def test_sweep_rows_sorted_and_keyed(tmp_path):
     assert [row["cell"] for row in rows] == [
         "classic:s0:lru:0.01", "classic:s0:stp:0.04",
     ]
+    [row] = sweep_rows_to_record_rows([_sweep_row()])
+    assert row["cell"] == cell_key(None, 0, "lru", 0.01)
+    assert row["values"]["reads"] == 100
+    assert row["values"]["capacity_bytes"] == 123456789
+    # Execution metadata is not a compared value.
+    assert row["meta"] == {"attempts": 2, "status": "retried"}
+    assert "reads" not in row["meta"]
 
 
 def test_flatten_metrics_dotted_scalars():
@@ -153,13 +134,15 @@ def test_scan_orders_by_created_at_then_hash(tmp_path):
     older = RunRecord(kind="bench", config={"x": 2}, created_at=200.0)
     new_run_dir(tmp_path, newer)
     new_run_dir(tmp_path, older)
-    _v1_sweep_dir(tmp_path)  # created_at 100.0
+    _sweep_dir(tmp_path)  # created_at 100.0
     (tmp_path / "notes.txt").write_text("not a run")
+    (tmp_path / "empty-dir").mkdir()
 
     entries = scan_runs_root(tmp_path)
-    assert [entry["created_at"] for entry in entries] == [100.0, 200.0, 300.0]
-    assert entries[0]["kind"] == "sweep"
-    assert entries[0]["schema_version"] == 1
-    assert {entry["kind"] for entry in entries[1:]} == {"bench"}
+    records = [entry["record"] for entry in entries]
+    assert [record.created_at for record in records] == [100.0, 200.0, 300.0]
+    assert records[0].kind == "sweep"
+    assert records[0].wall_seconds == 4.0
+    assert {record.kind for record in records[1:]} == {"bench"}
     # Deterministic no matter what order the filesystem lists dirs.
     assert entries == scan_runs_root(tmp_path)

@@ -1,28 +1,29 @@
 """``repro runs list|show`` on damaged run dirs: skip and warn, never
-raise.  A crash can leave a truncated ``run_summary.json`` or a mangled
-``config.json``; inspecting the runs root must keep working."""
+raise.  A crash or a bad disk can leave a truncated or mangled
+``run_record.json``; inspecting the runs root must keep working."""
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from repro.core.cli import main
-from repro.engine.resilience import list_runs, load_run_summary
+from repro.registry.record import (
+    RECORD_FILENAME,
+    RunRecord,
+    load_run_record,
+    scan_runs_root,
+    write_run_record,
+)
 
 
 def _good_run(root: Path, name: str = "sweep-aaaa000000000000") -> Path:
     run = root / name
-    (run / "tasks").mkdir(parents=True)
-    (run / "config.json").write_text(json.dumps({
-        "format": "repro-sweep-run", "config_hash": name.split("-")[1],
-        "config": {},
-    }))
-    (run / "run_summary.json").write_text(json.dumps({
-        "format": "repro-sweep-run", "status": "complete", "n_tasks": 4,
-        "rows": 12, "retries": 0, "failed_cells": [],
-    }))
-    (run / "tasks" / "t1.json").write_text("{}")
+    write_run_record(run, RunRecord(
+        kind="sweep", config={}, config_hash=name.split("-")[1],
+        status="complete",
+        metrics={"n_tasks": 4, "tasks_executed": 4, "tasks_resumed": 0,
+                 "tasks_failed": 0, "retries": 0, "failed_cells": []},
+    ))
     return run
 
 
@@ -30,15 +31,15 @@ def test_truncated_summary_is_skipped_with_warning(tmp_path, capsys):
     runs_root = tmp_path / "runs"
     good = _good_run(runs_root)
     bad = _good_run(runs_root, "sweep-bbbb111111111111")
-    # Truncate the summary mid-write, the way a crash would.
-    full = (bad / "run_summary.json").read_text()
-    (bad / "run_summary.json").write_text(full[: len(full) // 2])
+    # Truncate the record mid-write, the way a crash would.
+    full = (bad / RECORD_FILENAME).read_text()
+    (bad / RECORD_FILENAME).write_text(full[: len(full) // 2])
 
-    records = {run["name"]: run for run in list_runs(runs_root)}
+    records = {run["name"]: run for run in scan_runs_root(runs_root)}
     assert records[good.name]["corrupt"] == []
-    assert records[bad.name]["corrupt"] == ["run_summary.json"]
+    assert records[bad.name]["corrupt"] == [RECORD_FILENAME]
     assert records[bad.name]["status"] == "corrupt"
-    assert load_run_summary(bad) is None
+    assert load_run_record(bad) is None
 
     assert main(["runs", "list", str(runs_root)]) == 0
     captured = capsys.readouterr()
@@ -50,29 +51,19 @@ def test_truncated_summary_is_skipped_with_warning(tmp_path, capsys):
 def test_non_dict_config_is_skipped_with_warning(tmp_path, capsys):
     runs_root = tmp_path / "runs"
     bad = _good_run(runs_root)
-    (bad / "config.json").write_text('"not a dict"')
+    (bad / RECORD_FILENAME).write_text('"not a dict"')
 
-    [record] = list_runs(runs_root)
-    assert record["corrupt"] == ["config.json"]
+    [record] = scan_runs_root(runs_root)
+    assert record["corrupt"] == [RECORD_FILENAME]
 
     assert main(["runs", "list", str(runs_root)]) == 0
     assert "warning" in capsys.readouterr().err
 
 
-def test_summary_without_config_is_flagged_not_fatal(tmp_path):
-    runs_root = tmp_path / "runs"
-    partial = _good_run(runs_root)
-    (partial / "config.json").unlink()
-
-    [record] = list_runs(runs_root)
-    assert record["corrupt"] == ["config.json"]
-    assert record["status"] == "corrupt"
-
-
 def test_runs_show_on_corrupt_run_warns_and_survives(tmp_path, capsys):
     runs_root = tmp_path / "runs"
     bad = _good_run(runs_root)
-    (bad / "run_summary.json").write_text("{curly disaster")
+    (bad / RECORD_FILENAME).write_text("{curly disaster")
 
     assert main(["runs", "show", str(runs_root), bad.name]) == 0
     captured = capsys.readouterr()
@@ -86,4 +77,4 @@ def test_stray_files_in_runs_root_are_ignored(tmp_path):
     (runs_root / "notes.txt").write_text("not a run dir")
     (runs_root / "empty-dir").mkdir()
 
-    assert len(list_runs(runs_root)) == 1
+    assert len(scan_runs_root(runs_root)) == 1

@@ -1,6 +1,6 @@
 """SIGTERM mid-sweep leaves the same clean ``interrupted`` checkpoint
 as Ctrl-C: orchestrators stop sweeps with SIGTERM, and before this fix
-that killed the process with no run summary at all."""
+that killed the process without recording how the run ended."""
 
 from __future__ import annotations
 
@@ -11,11 +11,8 @@ from pathlib import Path
 import pytest
 
 from repro.engine import SweepConfig, run_sweep
-from repro.engine.resilience import (
-    load_checkpoints,
-    load_run_summary,
-    sigterm_as_interrupt,
-)
+from repro.engine.resilience import sigterm_as_interrupt
+from repro.registry.record import load_run_record
 from tests.resilience.faults import FaultPlan
 
 BASE = dict(
@@ -56,9 +53,10 @@ def test_sigterm_mid_sweep_writes_interrupted_summary(tmp_path, monkeypatch):
     assert signal.getsignal(signal.SIGTERM) is before
 
     run_path = next(Path(tmp_path / "runs").iterdir())
-    summary = load_run_summary(run_path)
-    assert summary is not None and summary["status"] == "interrupted"
-    assert len(load_checkpoints(run_path)) == 2
+    record = load_run_record(run_path)
+    assert record is not None and record.status == "interrupted"
+    assert len(record.rows) == 2
+    assert record.metrics["tasks_executed"] == 2
 
     # And the checkpoint is resumable, exactly like a Ctrl-C one.
     resumed = run_sweep(SweepConfig(
@@ -67,4 +65,7 @@ def test_sigterm_mid_sweep_writes_interrupted_summary(tmp_path, monkeypatch):
     ))
     assert resumed.tasks_resumed == 2
     assert resumed.tasks_executed == 2
-    assert load_run_summary(run_path)["status"] == "complete"
+    record = load_run_record(run_path)
+    assert record.status == "complete"
+    assert (record.metrics["tasks_resumed"],
+            record.metrics["tasks_executed"]) == (2, 2)

@@ -16,7 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.cli import main
 from repro.engine import SweepConfig, run_sweep
+from repro.registry.record import load_run_record
 from tests.resilience.faults import FaultPlan
 
 pytestmark = pytest.mark.skipif(
@@ -85,14 +87,18 @@ def test_hung_worker_abandoned_by_deadline(warm, tmp_path, monkeypatch):
     assert _cells(result) == _cells(baseline)
 
 
-def test_poisoned_task_degrades_with_annotated_cells(warm, tmp_path, monkeypatch):
+def test_poisoned_task_degrades_with_annotated_cells(
+    warm, tmp_path, monkeypatch, capsys
+):
     cache, baseline = warm
     plan = FaultPlan(tmp_path)
     plan.raise_worker(match=":lru:", once=False)  # every lru attempt dies
     plan.install(monkeypatch)
 
+    runs = tmp_path / "runs"
     result = run_sweep(SweepConfig(
         **BASE, cache_dir=str(cache), workers=2, max_retries=1,
+        run_dir=str(runs),
     ))
 
     # lru's single stack task covers both fractions -> 2 failed cells;
@@ -109,6 +115,17 @@ def test_poisoned_task_degrades_with_annotated_cells(warm, tmp_path, monkeypatch
     assert "failed(1/1)" in rendered
     assert "--" in rendered  # failed cells render placeholders, not garbage
     assert "WARNING" in rendered
+
+    # The run record keeps the failed cells next to the recorded ones,
+    # and `runs show` lists them with their attempts.
+    record = load_run_record(result.run_path)
+    assert record.status == "degraded"
+    assert len(record.rows) == 2 and len(record.metrics["failed_cells"]) == 2
+    assert main(["runs", "show", str(runs), Path(result.run_path).name]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line.split()[:3] for line in lines if ":lru:" in line]
+    assert failed == [["classic:s0:lru:0.01", "failed", "2"],
+                      ["classic:s0:lru:0.04", "failed", "2"]]
 
 
 def _leftover_sweep_tmpdirs():
