@@ -472,6 +472,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     from repro.core.study import Study, StudyConfig
 
+    # The recorded wall time covers the whole command, with or without
+    # --profile, so report runs stay comparable in the registry.
+    started = time.perf_counter()
     cache_dir = getattr(args, "cache_dir", None)
     base = Study(
         StudyConfig(workload=_workload_config(args), cache_dir=cache_dir)
@@ -505,6 +508,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         results.append(result)
         print(result.render())
         print()
+    if profile:
+        stages["analyze"] = time.perf_counter() - start
     if getattr(args, "run_dir", None) is not None:
         from repro.registry import record_report_run
 
@@ -514,11 +519,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
             config={
                 "scale": args.scale, "seed": args.seed, "days": args.days,
             },
-            wall_seconds=time.perf_counter() - start,
+            wall_seconds=time.perf_counter() - started,
+            metrics={f"{name}_seconds": sec for name, sec in stages.items()},
         )
         print(f"recorded run: {run_dir}")
     if profile:
-        stages["analyze"] = time.perf_counter() - start
         total = sum(stages.values())
         print("profile (wall time):")
         for stage, seconds in stages.items():

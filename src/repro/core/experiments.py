@@ -13,7 +13,7 @@ streams (``study.iter_batches(...)``) with the vectorized
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis import (
     Comparison,
@@ -58,6 +58,14 @@ class ExperimentResult:
     description: str
     text: str
     comparison: Optional[Comparison] = None
+    #: Further paper-vs-measured tables, rendered after ``text``.
+    more: Tuple[Comparison, ...] = ()
+
+    @property
+    def comparisons(self) -> List[Comparison]:
+        """Every paper-vs-measured table, in render order."""
+        head = [] if self.comparison is None else [self.comparison]
+        return head + list(self.more)
 
     def render(self) -> str:
         """Text block for reports."""
@@ -66,6 +74,8 @@ class ExperimentResult:
             parts.append(self.comparison.render())
         if self.text:
             parts.append(self.text)
+        for comparison in self.more:
+            parts += ["", comparison.render()]
         return "\n".join(parts)
 
 
@@ -210,8 +220,9 @@ def _fig3(study: Study) -> ExperimentResult:
     dists = from_metrics(study.mss_metrics)
     comp = dists.comparison()
     decomposition = decomposition_comparison(study.mss_metrics)
-    text = dists.render() + "\n\n" + decomposition.render()
-    return ExperimentResult("F3", "latency to first byte", text, comp)
+    return ExperimentResult(
+        "F3", "latency to first byte", dists.render(), comp, (decomposition,)
+    )
 
 
 @experiment("F4", "Figure 4: transfer rate by hour of day")

@@ -19,8 +19,11 @@ class LRUPolicy(MigrationPolicy):
 
     name = "lru"
 
+    # Recency ranks (here, FIFO and MRU) are the keys themselves, not
+    # ``now - key``: the subtraction can round two distinct keys to one
+    # rank, and the tie would then break by residency order, not by time.
     def rank(self, meta: ResidentFile, now: float) -> float:
-        return now - meta.last_access
+        return -meta.last_access
 
 
 class FIFOPolicy(MigrationPolicy):
@@ -29,7 +32,7 @@ class FIFOPolicy(MigrationPolicy):
     name = "fifo"
 
     def rank(self, meta: ResidentFile, now: float) -> float:
-        return now - meta.inserted_at
+        return -meta.inserted_at
 
 
 class LargestFirstPolicy(MigrationPolicy):
@@ -69,4 +72,4 @@ class MRUPolicy(MigrationPolicy):
     name = "mru"
 
     def rank(self, meta: ResidentFile, now: float) -> float:
-        return -(now - meta.last_access)
+        return meta.last_access

@@ -4,49 +4,40 @@ A minimal, deterministic event loop: events are (time, sequence) ordered,
 callbacks run at their scheduled instant, and ties break by scheduling
 order.  Everything in :mod:`repro.mss` -- drives, robots, operators,
 movers -- is built on this loop.
+
+The heap holds ``(time, seq, handle)`` tuples, so heap order is decided
+by C tuple comparison on the unique ``(time, seq)`` prefix and the
+handle is never compared.  A trace replay hands :meth:`Simulator.run`
+its requests as one time-ordered arrival stream instead of scheduling
+them all up front; the loop merges that stream with the heap in exactly
+the order ``schedule_at`` would have given them, so the heap holds only
+the events in flight.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 
 class SimulationError(Exception):
     """Raised on kernel misuse (scheduling in the past, etc.)."""
 
 
-@dataclass(order=True)
-class _ScheduledEvent:
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-
 class EventHandle:
-    """Returned by ``schedule``; allows cancelling a pending event."""
+    """A scheduled callback; ``schedule`` returns it so it can be cancelled."""
 
-    __slots__ = ("_event",)
+    __slots__ = ("time", "callback", "cancelled")
 
-    def __init__(self, event: _ScheduledEvent) -> None:
-        self._event = event
+    def __init__(self, time: float, callback: Callable[[], None]) -> None:
+        self.time = time
+        self.callback = callback
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Prevent the callback from running (idempotent)."""
-        self._event.cancelled = True
-
-    @property
-    def time(self) -> float:
-        """Scheduled fire time."""
-        return self._event.time
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether the event has been cancelled."""
-        return self._event.cancelled
+        self.cancelled = True
 
 
 class Simulator:
@@ -62,9 +53,14 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self.now = start_time
-        self._heap: List[_ScheduledEvent] = []
+        self._heap: List[Tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
         self._events_processed = 0
+        # The pending arrival stream, as (time, seq, callback) entries
+        # sharing the seq taken when the stream was handed over, and its
+        # head (None when no arrival is pending).
+        self._arrivals: Iterator[Tuple[float, int, Callable[[], None]]] = iter(())
+        self._arrival: Optional[Tuple[float, int, Callable[[], None]]] = None
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
         """Run ``callback`` after ``delay`` seconds of simulated time."""
@@ -78,39 +74,100 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time}, clock is already at {self.now}"
             )
-        event = _ScheduledEvent(time=time, seq=next(self._seq), callback=callback)
-        heapq.heappush(self._heap, event)
-        return EventHandle(event)
+        event = EventHandle(time, callback)
+        heapq.heappush(self._heap, (time, next(self._seq), event))
+        return event
+
+    def _next(self) -> Optional[tuple]:
+        """The next pending heap entry or arrival (not removed)."""
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        arrival = self._arrival
+        if arrival is not None and (not heap or arrival < heap[0]):
+            return arrival
+        return heap[0] if heap else None
 
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or None when idle."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        entry = self._next()
+        return None if entry is None else entry[0]
 
     def step(self) -> bool:
         """Process one event; returns False when nothing is pending."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            self.now = event.time
-            self._events_processed += 1
-            event.callback()
-            return True
-        return False
+        entry = self._next()
+        if entry is None:
+            return False
+        if entry is self._arrival:
+            self._take_arrival(entry[0])
+            callback = entry[2]
+        else:
+            heapq.heappop(self._heap)
+            callback = entry[2].callback
+        self.now = entry[0]
+        self._events_processed += 1
+        callback()
+        return True
 
-    def run(self, until: Optional[float] = None) -> None:
-        """Process events until the heap drains (or the clock passes
-        ``until``, leaving later events pending)."""
+    def _take_arrival(self, time: float) -> None:
+        """Advance the arrival stream past its head, due at ``time``."""
+        if time < self.now:
+            raise SimulationError(
+                f"arrival at {time} is behind the clock at {self.now}"
+            )
+        self._arrival = next(self._arrivals, None)
+
+    def run(
+        self,
+        until: Optional[float] = None,
+        arrivals: Optional[Iterable[Tuple[float, Callable[[], None]]]] = None,
+    ) -> None:
+        """Process events until nothing is pending (or the clock would
+        pass ``until``, leaving later events pending).
+
+        ``arrivals`` is a time-ordered stream of ``(time, callback)``
+        pairs, merged into the run lazily: each fires exactly where
+        ``schedule_at(time, callback)`` -- called now, in stream order --
+        would have put it, i.e. after events already pending at its
+        instant and before every event scheduled from here on.  An
+        arrival behind the clock raises :class:`SimulationError` when the
+        loop reaches it.
+        """
+        if arrivals is not None:
+            if self._arrival is not None:
+                raise SimulationError("an arrival stream is already pending")
+            seq = next(self._seq)
+            self._arrivals = ((time, seq, fn) for time, fn in arrivals)
+            self._arrival = next(self._arrivals, None)
+        heap = self._heap
+        pop = heapq.heappop
         while True:
-            next_time = self.peek()
-            if next_time is None:
+            arrival = self._arrival
+            if heap:
+                entry = heap[0]
+                event = entry[2]
+                if event.cancelled:
+                    pop(heap)
+                    continue
+                if arrival is None or entry < arrival:
+                    time = entry[0]
+                    if until is not None and time > until:
+                        break
+                    pop(heap)
+                    self.now = time
+                    self._events_processed += 1
+                    event.callback()
+                    continue
+            elif arrival is None:
                 return
-            if until is not None and next_time > until:
-                self.now = until
-                return
-            self.step()
+            time = arrival[0]
+            if until is not None and time > until:
+                break
+            self._take_arrival(time)
+            self.now = time
+            self._events_processed += 1
+            arrival[2]()
+        self.now = until
 
     @property
     def events_processed(self) -> int:

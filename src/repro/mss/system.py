@@ -9,7 +9,9 @@ decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -71,6 +73,22 @@ class MSSSystem:
     # ------------------------------------------------------------------
     # Single-request interface (used by the HSM and by tests)
 
+    def _request(
+        self, path: str, size: int, is_write: bool, device: Device, arrival: float
+    ) -> MSSRequest:
+        """A new request, numbered in submission order."""
+        request = MSSRequest(
+            request_id=self._next_id,
+            path=path,
+            size=size,
+            is_write=is_write,
+            device=device,
+            arrival_time=arrival,
+            directory=path.rsplit("/", 1)[0] or "/",
+        )
+        self._next_id += 1
+        return request
+
     def submit(
         self,
         path: str,
@@ -82,21 +100,10 @@ class MSSSystem:
         """Schedule one request; returns the request object (latencies are
         filled once the simulator runs past its completion)."""
         arrival = self.sim.now if when is None else when
-        request = MSSRequest(
-            request_id=self._next_id,
-            path=path,
-            size=size,
-            is_write=is_write,
-            device=device,
-            arrival_time=arrival,
-            directory=path.rsplit("/", 1)[0] or "/",
+        request = self._request(path, size, is_write, device, arrival)
+        self.sim.schedule_at(
+            arrival, partial(self.mscp.submit, request, self.metrics.record)
         )
-        self._next_id += 1
-
-        def submit_now() -> None:
-            self.mscp.submit(request, self.metrics.record)
-
-        self.sim.schedule_at(arrival, submit_now)
         return request
 
     def run(self, until: Optional[float] = None) -> None:
@@ -106,39 +113,47 @@ class MSSSystem:
     # ------------------------------------------------------------------
     # Trace replay
 
+    def _replay_requests(
+        self, rows: Iterable[Tuple[str, int, bool, Device, float]]
+    ) -> List[MSSRequest]:
+        """Run ``(path, size, is_write, device, time)`` rows to completion.
+
+        The requests reach the simulator as one arrival stream, stably
+        sorted by time -- the order scheduling each with :meth:`submit`
+        would give them -- so its heap holds only in-flight events.
+        Returns the requests in row order.
+        """
+        requests = [self._request(*row) for row in rows]
+        submit, record = self.mscp.submit, self.metrics.record
+        self.sim.run(arrivals=(
+            (request.arrival_time, partial(submit, request, record))
+            for request in sorted(requests, key=attrgetter("arrival_time"))
+        ))
+        return requests
+
     def replay(
         self, records: Iterable[TraceRecord]
     ) -> Tuple[List[TraceRecord], MetricsCollector]:
         """Replay a trace; returns (records with simulated times, metrics).
 
         Failed references pass through untouched (the paper excludes them
-        from latency statistics).  Records must be time-ordered.
+        from latency statistics).
         """
-        requests: List[Tuple[TraceRecord, Optional[MSSRequest]]] = []
-        for record in records:
-            if record.is_error:
-                requests.append((record, None))
-                continue
-            request = self.submit(
-                path=record.mss_path,
-                size=record.file_size,
-                is_write=record.is_write,
-                device=record.storage_device,
-                when=record.start_time,
-            )
-            requests.append((record, request))
-        self.run()
+        records = list(records)
+        requests = iter(self._replay_requests(
+            (r.mss_path, r.file_size, r.is_write, r.storage_device, r.start_time)
+            for r in records
+            if not r.is_error
+        ))
         out: List[TraceRecord] = []
-        for record, request in requests:
-            if request is None:
-                out.append(record)
-                continue
-            out.append(
-                record.with_times(
+        for record in records:
+            if not record.is_error:
+                request = next(requests)
+                record = record.with_times(
                     startup_latency=request.startup_latency,
                     transfer_time=request.transfer_time,
                 )
-            )
+            out.append(record)
         return out, self.metrics
 
     def replay_columns(
@@ -146,66 +161,39 @@ class MSSSystem:
     ) -> Tuple[List["EventBatch"], MetricsCollector]:
         """Replay a batch stream and return it *as batches*.
 
-        The columnar twin of :meth:`replay`: requests are submitted
-        straight from the columns (no ``TraceRecord`` is ever built) and
-        the simulated startup latencies and transfer times come back as
+        The columnar twin of :meth:`replay`: requests are built straight
+        from the columns (no ``TraceRecord`` is ever built) and the
+        simulated startup latencies and transfer times come back as
         fresh ``latency`` / ``transfer`` columns.  Failed references pass
-        through with their original timings, as in :meth:`replay`.
-        Submission order, parameters and seeds match :meth:`replay`
-        exactly, so latencies and metrics are bit-identical.
+        through with their original timings, as in :meth:`replay`.  Both
+        share one request path, so latencies and metrics are
+        bit-identical.
         """
-        from repro.engine.batch import DEVICE_ORDER, EventBatch
+        from repro.engine.batch import DEVICE_ORDER
 
         batches = list(batches)
-        pending: List[Tuple[int, int, MSSRequest]] = []
+        good = [np.flatnonzero(batch.error == 0) for batch in batches]
         path_of = namespace.path_of
-        for batch_no, batch in enumerate(batches):
-            rows = zip(
-                batch.file_id.tolist(),
-                batch.size.tolist(),
-                batch.time.tolist(),
-                batch.is_write.tolist(),
-                batch.device.tolist(),
-                batch.error.tolist(),
+        requests = iter(self._replay_requests(
+            (path_of(fid), size, is_write, DEVICE_ORDER[device], time)
+            for batch, rows in zip(batches, good)
+            for fid, size, is_write, device, time in zip(
+                batch.file_id[rows].tolist(),
+                batch.size[rows].tolist(),
+                batch.is_write[rows].tolist(),
+                batch.device[rows].tolist(),
+                batch.time[rows].tolist(),
             )
-            for row_no, (fid, size, time, is_write, device, error) in enumerate(rows):
-                if error:
-                    continue
-                request = self.submit(
-                    path=path_of(fid),
-                    size=size,
-                    is_write=is_write,
-                    device=DEVICE_ORDER[device],
-                    when=time,
-                )
-                pending.append((batch_no, row_no, request))
-        self.run()
-        n_rows = [len(batch) for batch in batches]
-        latencies = [
-            batch.latency.copy() if batch.latency is not None else np.zeros(n)
-            for batch, n in zip(batches, n_rows)
-        ]
-        transfers = [
-            batch.transfer.copy() if batch.transfer is not None else np.zeros(n)
-            for batch, n in zip(batches, n_rows)
-        ]
-        for batch_no, row_no, request in pending:
-            latencies[batch_no][row_no] = request.startup_latency
-            transfers[batch_no][row_no] = request.transfer_time
-        out = [
-            EventBatch(
-                file_id=batch.file_id,
-                size=batch.size,
-                time=batch.time,
-                is_write=batch.is_write,
-                device=batch.device,
-                error=batch.error,
-                user=batch.user,
-                latency=latencies[batch_no],
-                transfer=transfers[batch_no],
-            )
-            for batch_no, batch in enumerate(batches)
-        ]
+        ))
+        out = []
+        for batch, rows in zip(batches, good):
+            n = len(batch)
+            latency = np.zeros(n) if batch.latency is None else batch.latency.copy()
+            transfer = np.zeros(n) if batch.transfer is None else batch.transfer.copy()
+            for row, request in zip(rows.tolist(), requests):
+                latency[row] = request.startup_latency
+                transfer[row] = request.transfer_time
+            out.append(replace(batch, latency=latency, transfer=transfer))
         return out, self.metrics
 
 

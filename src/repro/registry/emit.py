@@ -76,26 +76,29 @@ def record_report_run(
     results,
     config: Dict[str, Any],
     wall_seconds: Optional[float] = None,
+    metrics: Optional[Dict[str, Any]] = None,
 ) -> Path:
     """A ``repro report`` pass: every paper-vs-measured row as a cell."""
     rows: List[Dict[str, Any]] = []
     for result in results:
-        if result.comparison is None:
-            continue
-        for row in result.comparison.rows:
-            rows.append({
-                "cell": f"{result.experiment_id}/{row.label}",
-                "values": {
-                    "paper": row.paper_value,
-                    "measured": row.measured_value,
-                },
-                "meta": {"unit": row.unit} if row.unit else {},
-            })
+        for table in result.comparisons:
+            rows.extend(
+                {
+                    "cell": f"{result.experiment_id}/{row.label}",
+                    "values": {
+                        "paper": row.paper_value,
+                        "measured": row.measured_value,
+                    },
+                    "meta": {"unit": row.unit} if row.unit else {},
+                }
+                for row in table.rows
+            )
     return record_run(
         runs_root,
         kind="report",
         config=config,
         rows=rows,
+        metrics=metrics,
         wall_seconds=wall_seconds,
     )
 

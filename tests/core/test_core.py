@@ -1,5 +1,7 @@
 """Paper constants, Study pipeline, experiment registry, CLI tests."""
 
+import re
+
 import pytest
 
 from repro.core import paper
@@ -338,3 +340,64 @@ def test_cli_bench_prints_stage_profile(capsys):
         assert stage in printed
     assert "placement: scalar" in printed
     assert "sessions: scalar" in printed
+
+
+# ---------------------------------------------------------------------------
+# repro report: determinism, RunRecord, registry listing
+
+
+def _comparison_rows(text):
+    """Data rows of every paper-vs-measured table in a report's stdout."""
+    lines = text.splitlines()
+    count = 0
+    for index, line in enumerate(lines):
+        if line.split()[:3] == ["statistic", "paper", "measured"]:
+            rule = lines[index + 1]
+            rel_err = [match.span() for match in re.finditer(r"-+", rule)][3]
+            for row in lines[index + 2:]:
+                if len(row) != len(rule) or not row[slice(*rel_err)].endswith("%"):
+                    break
+                count += 1
+    return count
+
+
+def test_cli_report_is_deterministic_and_recorded(tmp_path, capsys):
+    import time
+
+    from repro.registry.record import load_run_record
+
+    args = ["report", "--scale", "0.002", "--days", "60", "--run-dir", str(tmp_path)]
+    bodies, records = [], []
+    for extra in ([], ["--profile"]):
+        started = time.perf_counter()
+        assert main(args + extra) == 0
+        elapsed = time.perf_counter() - started
+        body, marker, tail = capsys.readouterr().out.partition("recorded run: ")
+        assert marker, "report --run-dir printed no run path"
+        record = load_run_record(tail.splitlines()[0])
+        assert record.kind == "report"
+        # The recorded wall time spans the whole command in both modes.
+        assert 0 < record.wall_seconds <= elapsed
+        bodies.append(body)
+        records.append(record)
+    assert bodies[0] == bodies[1]
+
+    plain, profiled = records
+    assert plain.metrics == {}
+    stages = profiled.metrics
+    assert sorted(stages) == ["analyze_seconds", "generate_seconds", "replay_seconds"]
+    assert all(seconds > 0 for seconds in stages.values())
+    assert profiled.wall_seconds >= sum(stages.values())
+
+    n_rows = _comparison_rows(bodies[0])
+    assert n_rows > 20
+    for record in records:
+        assert len(record.rows) == n_rows
+        assert all({"paper", "measured"} <= set(row["values"]) for row in record.rows)
+
+    assert main(["runs", "list", str(tmp_path)]) == 0
+    listed = [line.split() for line in capsys.readouterr().out.splitlines()]
+    reports = [cols for cols in listed if cols[1:2] == ["report"]]
+    assert len(reports) == 2
+    # columns: run, kind, status, tasks, rows, failed, retries
+    assert all(cols[2] == "complete" and cols[4] == str(n_rows) for cols in reports)

@@ -133,6 +133,26 @@ def test_invalid_capacities_rejected(stream):
     assert multi_capacity_replay(stream, "lru", []) == []
 
 
+#: Reads ``(fid, size, time)`` whose recency keys differ by less than the
+#: rounding of ``now - key`` at the eviction instant (2**26 s): ranking by
+#: that difference tied two residents, and the DES broke the tie by
+#: residency order while the stack engine orders by the key itself.
+ROUNDING_STREAMS = {
+    "lru": [(1, 40, 0.5), (0, 40, 1.0), (1, 40, 1.0 + 1e-9), (2, 20, 2.0**26),
+            (0, 40, 2.0**26 + 1), (1, 40, 2.0**26 + 2)],
+    "mru": [(3, 30, 0.5), (0, 40, 1.0 + 1e-9), (2, 20, 1.0 + 2e-9),
+            (3, 30, 2.0**26), (1, 40, 2.0**26 + 1), (1, 40, 2.0**26 + 2)],
+}
+
+
+@pytest.mark.parametrize("policy", sorted(ROUNDING_STREAMS))
+def test_des_ranks_by_key_not_rounded_age(policy):
+    batch = _batch([(f, s, t, False) for f, s, t in ROUNDING_STREAMS[policy]])
+    (stack,) = multi_capacity_replay([batch], policy, [100], writeback_delay=None)
+    des = replay_policy([batch], policy, 100, writeback_delay=None)
+    assert dataclasses.asdict(des) == dataclasses.asdict(stack)
+
+
 def test_size_change_is_rejected():
     batch = _batch([(1, 10, 0.0, False), (1, 20, 1.0, False)])
     with pytest.raises(StackEngineError, match="changed size"):

@@ -156,3 +156,96 @@ def test_resource_release_of_idle_raises():
 def test_resource_capacity_validation():
     with pytest.raises(ValueError):
         Resource(Simulator(), capacity=0)
+
+
+# ---------------------------------------------------------------------------
+# Merged arrival stream
+
+
+def _scripted(sim, log, handles, label, delays, cancels):
+    """A callback that logs itself, cancels the oldest live follow-up when
+    asked, and schedules one follow-up per delay (each with the remaining
+    delays as its own follow-ups, so zero delays land on this instant)."""
+
+    def fire():
+        log.append((label, sim.now, sim.events_processed))
+        if cancels and handles:
+            handles.pop(0).cancel()
+        for k, delay in enumerate(delays):
+            handles.append(sim.schedule(
+                delay, _scripted(sim, log, handles, f"{label}.{k}",
+                                 delays[k + 1:], not cancels)
+            ))
+
+    return fire
+
+
+def _play(pending, arrivals, until, merged):
+    """Run a script with arrivals pre-scheduled or merged; returns its trail."""
+    sim = Simulator()
+    log, handles = [], []
+    for index, time in enumerate(pending):
+        sim.schedule_at(time, _scripted(sim, log, handles, f"p{index}", (0.0,), False))
+    calls = [
+        (time, _scripted(sim, log, handles, f"a{index}", delays, cancels))
+        for index, (time, delays, cancels) in enumerate(arrivals)
+    ]
+    if merged:
+        sim.run(until, arrivals=sorted(calls, key=lambda call: call[0]))
+    else:
+        for time, callback in calls:
+            sim.schedule_at(time, callback)
+        sim.run(until)
+    halfway = (list(log), sim.now, sim.events_processed)
+    sim.run()
+    return halfway, log, sim.now, sim.events_processed
+
+
+_TIMES = st.sampled_from([0.0, 1.0, 2.5, 4.0]) | st.floats(0, 10)
+
+
+@given(
+    pending=st.lists(_TIMES, max_size=4),
+    arrivals=st.lists(
+        st.tuples(
+            _TIMES,
+            st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.5, 3.0]), max_size=3),
+            st.booleans(),
+        ),
+        max_size=25,
+    ),
+    until=st.none() | _TIMES,
+)
+@settings(max_examples=200, deadline=None)
+def test_merged_arrivals_match_prescheduling(pending, arrivals, until):
+    assert _play(pending, arrivals, until, merged=True) == _play(
+        pending, arrivals, until, merged=False
+    )
+
+
+def test_arrival_behind_the_clock_raises():
+    sim = Simulator()
+    sim.schedule(5.0, lambda: None)
+    sim.run()
+    with pytest.raises(SimulationError):
+        sim.run(arrivals=[(1.0, lambda: None)])
+    fired = []
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.run(arrivals=[(2.0, lambda: fired.append(2.0)), (1.0, lambda: None)])
+    assert fired == [2.0]
+
+
+def test_pending_arrivals_survive_until_and_step():
+    sim = Simulator()
+    fired = []
+    sim.run(until=1.0, arrivals=[(t, (lambda t: lambda: fired.append(t))(t))
+                                 for t in (0.5, 2.0, 3.0)])
+    assert fired == [0.5] and sim.now == 1.0
+    with pytest.raises(SimulationError, match="already pending"):
+        sim.run(arrivals=[(4.0, lambda: None)])
+    assert sim.peek() == 2.0
+    assert sim.step() is True and fired == [0.5, 2.0]
+    sim.run()
+    assert fired == [0.5, 2.0, 3.0] and sim.events_processed == 3
+    assert sim.step() is False and sim.peek() is None
