@@ -31,57 +31,56 @@ class BlockDeduper:
     """Streaming, vectorized Section 5.3 dedupe.
 
     Keeps at most one read and one write per file per calendar-aligned
-    ``window`` block, carrying the last-kept block per ``(file, direction)``
-    across batch boundaries.  Matches
-    :func:`repro.trace.filters.dedupe_for_file_analysis` (``mode="block"``)
-    event for event on any time-ordered stream.
+    ``window`` block.  On a time-ordered stream only the keys kept in the
+    newest block can drop a later event, so that block and its sorted
+    ``(file, direction)`` keys are all the state carried across batches.
+    Matches :func:`repro.trace.filters.dedupe_for_file_analysis`
+    (``mode="block"``) event for event on any time-ordered stream.
     """
 
     def __init__(self, window: float = EIGHT_HOURS) -> None:
         if window <= 0:
             raise ValueError("window must be positive")
         self.window = window
-        #: Last kept block per (file, direction) key; -1 = never kept.
-        self._last_block = np.full(1024, -1, dtype=np.int64)
-
-    def _ensure_capacity(self, size: int) -> None:
-        table = self._last_block
-        if size > table.size:
-            grown = np.full(max(size, 2 * table.size), -1, dtype=np.int64)
-            grown[: table.size] = table
-            self._last_block = grown
+        #: Newest block seen (None before the first event).
+        self._block: Optional[int] = None
+        #: Sorted (file, direction) keys kept in ``_block``.
+        self._keys = np.empty(0, dtype=np.int64)
 
     def apply(self, batch: EventBatch) -> EventBatch:
         """The deduped view of one batch (updates carried state)."""
-        n = len(batch)
-        if n == 0:
+        if not len(batch):
             return batch
         if np.any(batch.file_id < 0):
             raise ValueError("dedupe expects error-free batches (no negative ids)")
         # One integer key per (file, direction); blocks are nondecreasing
         # per key because the stream is time-ordered, so only the first
-        # occurrence of each (key, block) pair can survive.
+        # occurrence of each (key, block) pair can survive.  Pairing on
+        # blocks relative to the batch's first keeps negative times exact.
         key = batch.file_id * 2 + batch.is_write
         block = (batch.time // self.window).astype(np.int64)
-        n_blocks = int(block[-1]) + 2
-        pair = key * n_blocks + block
+        offset = block - block[0]
+        pair = key * (int(offset[-1]) + 1) + offset
         # np.unique(return_index=True) gives the first occurrence of each
         # distinct (key, block) pair -- the only survivable positions.
         _, first_idx = np.unique(pair, return_index=True)
         first_idx.sort()
         cand_key = key[first_idx]
         cand_block = block[first_idx]
-        self._ensure_capacity(int(cand_key.max()) + 1)
-        # Comparing every candidate against the *pre-batch* state is exact:
-        # for two candidate blocks of one key, the later is strictly larger
-        # (time order), so it survives whichever way the earlier one went.
-        kept = cand_block > self._last_block[cand_key]
-        # Unbuffered maximum.at keeps the max block per key regardless of
-        # duplicate-index ordering (fancy assignment leaves it unspecified).
-        np.maximum.at(self._last_block, cand_key[kept], cand_block[kept])
-        keep = np.zeros(n, dtype=bool)
-        keep[first_idx[kept]] = True
-        return batch.select(keep)
+        # A candidate in a later block than the carried one is kept; one
+        # in the carried block only if that block has not kept its key.
+        kept = np.ones(first_idx.size, dtype=bool)
+        if int(block[0]) == self._block:
+            carried = cand_block == self._block
+            probe = cand_key[carried]
+            at = np.searchsorted(self._keys, probe)
+            kept[carried] = self._keys.take(at, mode="clip") != probe
+        last = int(block[-1])
+        keys = cand_key[kept & (cand_block == last)]
+        if last == self._block:
+            keys = np.concatenate([self._keys, keys])
+        self._block, self._keys = last, np.sort(keys)
+        return batch.select(first_idx[kept])
 
 
 def dedupe_blocks(

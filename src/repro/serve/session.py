@@ -49,7 +49,8 @@ SESSION_MAGIC = "repro-serve-session"
 #: a change adds or renames attributes of the session or the objects it
 #: holds: :meth:`JournaledSession.open` ignores snapshots without the
 #: current tag and rebuilds the state from the journal instead.
-SESSION_LAYOUT = 2
+#: Layout 3: the deduper holds its newest block and the keys kept in it.
+SESSION_LAYOUT = 3
 
 
 class SessionError(RuntimeError):
@@ -215,21 +216,36 @@ class ReplaySession:
     # ------------------------------------------------------------------
     # Ingest
 
-    def feed(self, batch: EventBatch) -> dict:
-        """Apply one chunk; returns the per-chunk ack payload."""
+    def check(self, batch: EventBatch) -> None:
+        """Raise :class:`SessionError` if :meth:`feed` would refuse ``batch``.
+
+        Changes nothing, so a journaled session runs it before the
+        journal append: a refused chunk reaches neither the journal nor
+        any state.
+        """
         if self.finalized:
             raise SessionError("session is finalized; no further chunks")
+        if not len(batch):
+            return
+        if np.any(np.diff(batch.time) < 0):
+            raise SessionError("chunk times must be nondecreasing")
+        start = float(batch.time[0])
+        if self.last_time is not None and start < self.last_time:
+            raise SessionError(
+                f"chunk starts at t={start:.3f}, before the stream "
+                f"tail t={self.last_time:.3f}; chunks must arrive "
+                "in time order"
+            )
+        if self.deduper is not None and np.any(batch.file_id[batch.error == 0] < 0):
+            raise SessionError(
+                "a successful reference has a negative file id; the "
+                "eight-hour dedupe needs non-negative ids"
+            )
+
+    def feed(self, batch: EventBatch) -> dict:
+        """Apply one chunk; returns the per-chunk ack payload."""
+        self.check(batch)
         n = len(batch)
-        if n:
-            if np.any(np.diff(batch.time) < 0):
-                raise SessionError("chunk times must be nondecreasing")
-            start = float(batch.time[0])
-            if self.last_time is not None and start < self.last_time:
-                raise SessionError(
-                    f"chunk starts at t={start:.3f}, before the stream "
-                    f"tail t={self.last_time:.3f}; chunks must arrive "
-                    "in time order"
-                )
         metrics = self.hsm.metrics
         reads_before = metrics.reads
         misses_before = metrics.read_misses
@@ -372,7 +388,9 @@ class JournaledSession:
     ``feed`` path, reproducing the pre-crash state bit for bit.  A chunk
     whose append was torn by the crash was never acked -- the journal is
     repaired (truncated to the last intact frame) and the client
-    re-sends it.
+    re-sends it.  A chunk the session refuses
+    (:meth:`ReplaySession.check`) is never journaled, so every intact
+    frame replays.
     """
 
     def __init__(
@@ -476,7 +494,8 @@ class JournaledSession:
         ``seq`` < the applied count means the client re-sent a chunk the
         server already owns (its ack was lost in a crash): acknowledged
         as a duplicate without re-applying.  A gap is an error -- the
-        client must re-sync from :attr:`next_seq`.
+        client must re-sync from :attr:`next_seq`.  A chunk the session
+        refuses raises :class:`SessionError` before the journal append.
         """
         expected = self.next_seq
         if seq is None:
@@ -487,6 +506,7 @@ class JournaledSession:
             raise SequenceGap(
                 f"chunk seq {seq} skips ahead; next expected seq is {expected}"
             )
+        self.session.check(batch)
         label = f"{self.spec.name}:{seq}"
         fault_point("serve-ingest", label)
         self.journal.append(batch)

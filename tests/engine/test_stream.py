@@ -1,16 +1,23 @@
 """Vectorized stream transforms vs the record-based reference filters."""
 
+import pickle
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.batch import EventBatch
 from repro.engine.replay import prepare_stream
 from repro.engine.stream import (
+    EIGHT_HOURS,
     BlockDeduper,
     prepare_batch,
     strip_errors,
 )
 from repro.hsm.manager import events_from_trace
+from repro.trace.filters import dedupe_for_file_analysis
 
 
 def test_strip_errors_drops_failed_rows():
@@ -51,6 +58,83 @@ def test_deduper_rejects_negative_ids():
     batch = EventBatch.from_columns([-1], [1], [0.0], [False])
     with pytest.raises(ValueError):
         BlockDeduper().apply(batch)
+
+
+def _record_filter_keeps(file_id, time, is_write):
+    """Row indices the record filter's block rule keeps."""
+    records = [
+        SimpleNamespace(index=index, mss_path=f"/f{fid}", start_time=t,
+                        is_write=write)
+        for index, (fid, t, write) in enumerate(zip(file_id, time, is_write))
+    ]
+    return [record.index for record in dedupe_for_file_analysis(records)]
+
+
+def _deduper_keeps(batch, cuts=(), restore_at=None):
+    """Row indices a deduper keeps when fed ``batch`` split at ``cuts``,
+    pickled and restored before the chunk at ``restore_at``."""
+    indexed = EventBatch.from_columns(
+        batch.file_id, batch.size, batch.time, batch.is_write,
+        user=np.arange(len(batch)),
+    )
+    bounds = [0, *cuts, len(batch)]
+    deduper = BlockDeduper()
+    kept = []
+    for chunk, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+        if chunk == restore_at:
+            deduper = pickle.loads(pickle.dumps(deduper))
+        kept += deduper.apply(indexed.slice(start, stop)).user.tolist()
+    return kept
+
+
+@pytest.mark.parametrize("times", [(-10.0, -5.0), (-30_000.0, -29_000.0)])
+def test_deduper_keeps_first_read_at_negative_times(times):
+    """Both reads fall in one negative block: the first is kept, exactly
+    as the record filter keeps it."""
+    batch = EventBatch.from_columns([5, 5], [1, 1], list(times), [False, False])
+    assert _record_filter_keeps([5, 5], times, [False, False]) == [0]
+    assert _deduper_keeps(batch) == [0]
+    assert _deduper_keeps(batch, cuts=[1]) == [0]
+
+
+@st.composite
+def _chunked_streams(draw):
+    """A time-ordered stream of reads and writes of a few files, split at
+    random chunk boundaries, with one pickle round trip in between.
+
+    Times sit on a quarter-hour grid around zero, so duplicate times,
+    exact block boundaries and negative blocks all come up.
+    """
+    n = draw(st.integers(1, 60))
+    quarter = EIGHT_HOURS / 32
+    start = draw(st.integers(-96, 96))
+    steps = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))
+    time = (start + np.cumsum(steps)) * quarter
+    file_id = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    is_write = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    cuts = sorted(draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=6)))
+    cuts = [cut for cut in cuts if cut < n]
+    restore_at = draw(st.integers(0, len(cuts)))
+    batch = EventBatch.from_columns(file_id, [1] * n, time, is_write)
+    return batch, cuts, restore_at
+
+
+@settings(max_examples=300, deadline=None)
+@given(_chunked_streams())
+def test_deduper_matches_record_filter_across_chunks(stream):
+    batch, cuts, restore_at = stream
+    expected = _record_filter_keeps(
+        batch.file_id.tolist(), batch.time.tolist(), batch.is_write.tolist()
+    )
+    assert _deduper_keeps(batch, cuts, restore_at) == expected
+
+
+def test_deduper_state_does_not_grow_with_file_ids():
+    """The carried state is the newest block's kept keys, not a table
+    indexed by file id."""
+    deduper = BlockDeduper()
+    deduper.apply(EventBatch.from_columns([10**7], [1], [0.0], [True]))
+    assert len(pickle.dumps(deduper)) < 1024
 
 
 def _tuples(batches):

@@ -271,3 +271,35 @@ def test_restart_recovers_sessions_and_clears_stale_summary(
         server2.shutdown()
         service2.drain()
         server2.server_close()
+
+
+def test_feed_after_finalize_is_400_and_restart_recovers(tmp_path, chunk_stream):
+    """A refused chunk never reaches the journal, so the drained data dir
+    reopens: the restarted server holds the finalized session intact."""
+    config = ServeConfig(data_dir=tmp_path / "data", port=0)
+    server, service = make_server(config)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    client = ServeClient(*server.server_address[:2])
+    client.submit(SPEC)
+    client.feed_batches("s1", chunk_stream[:3])
+    client.finalize("s1")
+    with pytest.raises(ServeClientError) as info:
+        client.feed("s1", chunk_stream[3], seq=3)
+    assert info.value.status == 400
+    final = client.metrics("s1")
+    server.shutdown()
+    service.drain()
+    server.server_close()
+
+    server2, service2 = make_server(config)
+    thread2 = threading.Thread(target=server2.serve_forever, daemon=True)
+    thread2.start()
+    try:
+        client2 = ServeClient(*server2.server_address[:2])
+        assert service2.recovered == ["s1"]
+        assert client2.metrics("s1") == final
+    finally:
+        server2.shutdown()
+        service2.drain()
+        server2.server_close()

@@ -16,8 +16,9 @@ import pytest
 
 from repro.engine.batch import EventBatch
 from repro.engine.replay import replay_policy
-from repro.engine.stream import hsm_batches_from_stream
+from repro.engine.stream import EIGHT_HOURS, hsm_batches_from_stream
 from repro.serve.session import (
+    SESSION_LAYOUT,
     JournaledSession,
     ReplaySession,
     SequenceGap,
@@ -241,6 +242,45 @@ class TestJournaledSession:
         reference = _full_stream(chunk_stream, spec)
         assert recovered.finalize() == reference.finalize()
 
+    def test_reopen_ignores_table_deduper_snapshot(self, tmp_path, chunk_stream):
+        """A layout-2 snapshot holds the dense ``_last_block`` table
+        deduper, which later layouts cannot feed: it is ignored, and the
+        state is rebuilt from journal chunk 0."""
+        assert SESSION_LAYOUT > 2
+        spec = _spec()
+        journaled = JournaledSession.create(tmp_path / "s", spec,
+                                            snapshot_every=10_000)
+        for seq, chunk in enumerate(chunk_stream[:4]):
+            journaled.feed(chunk, seq)
+        stale = _full_stream(chunk_stream[:1], spec)
+        stale.layout = 2
+        table = np.full(1024, -1, dtype=np.int64)
+        table[:240] = 0
+        stale.deduper.__dict__.clear()
+        stale.deduper.__dict__.update(window=EIGHT_HOURS, _last_block=table)
+        journaled.journal.write_snapshot(4, stale)
+        journaled.journal.close()
+
+        recovered = JournaledSession.open(tmp_path / "s")
+        assert recovered.session.layout == SESSION_LAYOUT
+        assert recovered.next_seq == 4
+        for seq, chunk in enumerate(chunk_stream[4:], start=4):
+            recovered.feed(chunk, seq)
+        reference = _full_stream(chunk_stream, spec)
+        assert recovered.finalize() == reference.finalize()
+
+    def test_snapshot_size_does_not_grow_with_file_ids(self, tmp_path):
+        """Ids spread up to 10**6 leave no id-indexed table in snapshots."""
+        chunks = synth_chunks(8, 200, seed=5, n_files=10**6)
+        journaled = JournaledSession.create(tmp_path / "s", _spec(),
+                                            snapshot_every=4)
+        for seq, chunk in enumerate(chunks):
+            journaled.feed(chunk, seq)
+        snapshots = sorted((tmp_path / "s").glob("snapshot-*.pkl"))
+        assert len(snapshots) == 2
+        for path in snapshots:
+            assert path.stat().st_size < 256 * 1024, path.name
+
     def test_duplicate_chunk_acks_without_reapplying(self, tmp_path, chunk_stream):
         journaled = JournaledSession.create(tmp_path / "s", _spec())
         journaled.feed(chunk_stream[0], 0)
@@ -264,3 +304,68 @@ class TestJournaledSession:
         (tmp_path / "x").mkdir()
         with pytest.raises(SessionError):
             JournaledSession.open(tmp_path / "x")
+
+
+def _defective(chunk: EventBatch, tail: EventBatch, defect: str) -> EventBatch:
+    """``chunk`` with one defect the session must refuse."""
+    columns = {
+        name: getattr(chunk, name).copy()
+        for name in ("file_id", "size", "time", "is_write", "device", "error")
+    }
+    if defect == "before-tail":
+        columns["time"][0] = float(tail.time[-1]) - 1.0
+    elif defect == "unordered":
+        columns["time"][0] = columns["time"][1] + 1.0
+    elif defect == "negative-id":
+        good = np.flatnonzero(columns["error"] == 0)
+        columns["file_id"][good[len(good) // 2]] = -3
+    return EventBatch(**columns)
+
+
+class TestRefusedChunks:
+    """A refused chunk changes nothing: not the journal, not the state,
+    and a reopened session continues as if it had never been sent."""
+
+    @pytest.mark.parametrize("defect", ["before-tail", "unordered", "negative-id"])
+    def test_refused_chunk_leaves_no_trace(self, tmp_path, chunk_stream, defect):
+        spec = _spec()
+        journaled = JournaledSession.create(tmp_path / "s", spec,
+                                            snapshot_every=2)
+        for seq, chunk in enumerate(chunk_stream[:3]):
+            journaled.feed(chunk, seq)
+        before = journaled.session.metrics()
+        bad = _defective(chunk_stream[3], chunk_stream[2], defect)
+        with pytest.raises(SessionError):
+            journaled.feed(bad, 3)
+        assert journaled.journal.frame_count() == journaled.session.applied_chunks
+        assert journaled.session.metrics() == before
+        journaled.journal.close()  # a crash: recovery replays the journal
+
+        recovered = JournaledSession.open(tmp_path / "s")
+        assert recovered.next_seq == 3
+        for seq, chunk in enumerate(chunk_stream[3:], start=3):
+            recovered.feed(chunk, seq)
+        assert recovered.finalize() == _full_stream(chunk_stream, spec).finalize()
+
+    def test_feed_after_finalize_leaves_no_trace(self, tmp_path, chunk_stream):
+        spec = _spec()
+        journaled = JournaledSession.create(tmp_path / "s", spec)
+        for seq, chunk in enumerate(chunk_stream[:3]):
+            journaled.feed(chunk, seq)
+        final = journaled.finalize()
+        with pytest.raises(SessionError, match="finalized"):
+            journaled.feed(chunk_stream[3], 3)
+        assert journaled.journal.frame_count() == journaled.session.applied_chunks
+        assert journaled.session.metrics() == final
+        journaled.journal.close()
+
+        recovered = JournaledSession.open(tmp_path / "s")
+        assert recovered.session.finalized
+        assert recovered.finalize() == _full_stream(chunk_stream[:3], spec).finalize()
+
+    def test_undeduped_session_accepts_negative_ids(self, chunk_stream):
+        """Only the dedupe keys on file ids; a raw replay takes any id."""
+        session = ReplaySession(_spec(deduped=False))
+        session.feed(chunk_stream[0])
+        session.feed(_defective(chunk_stream[1], chunk_stream[0], "negative-id"))
+        assert session.applied_chunks == 2
