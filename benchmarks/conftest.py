@@ -27,7 +27,7 @@ def bench_runs_root() -> str:
     """The runs root benchmark RunRecords land in.
 
     ``REPRO_RUNS_DIR`` overrides (CI points it at the sweep runs root so
-    one ``repro runs index`` covers everything); the default is a
+    one ``repro runs list`` shows both kinds); the default is a
     git-ignored ``.runs/`` at the repo root, so local bench invocations
     accumulate a trajectory without any setup.
     """
@@ -43,8 +43,9 @@ def dump_bench_timings(timings: dict, configs: dict = None) -> None:
     The one shared sink every throughput benchmark reports through.
     Each top-level ``{benchmark: payload}`` entry becomes one bench-kind
     RunRecord under :func:`bench_runs_root` (the substrate of ``repro
-    runs trajectory``); ``configs`` optionally carries a per-benchmark
-    config dict recorded alongside.
+    runs trajectory``); a payload is a nested timings dict or a bare
+    number.  ``configs`` optionally carries a per-benchmark config dict
+    recorded alongside.
     """
     from repro.registry import record_bench_run
 

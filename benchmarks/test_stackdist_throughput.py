@@ -7,7 +7,7 @@ the stack engine at >= 4x.  Metric identity is asserted unconditionally;
 
 Each run emits a bench-kind RunRecord into the experiment registry's
 runs root (see ``conftest.bench_runs_root``) and re-derives
-``BENCH_sweep.json`` in that same runs root as a view over every indexed
+``BENCH_sweep.json`` in that same runs root as a view over every recorded
 run -- engine cell counts, wall seconds, measured speedup, and the full
 trajectory -- so ``repro runs trajectory stackdist_sweep`` tracks sweep
 throughput across PRs while the working tree stays untouched.
@@ -99,8 +99,8 @@ def test_stack_sweep_is_4x_faster_than_des(sweep_inputs):
         )
 
     # One RunRecord through the shared sink; BENCH_sweep.json is then
-    # re-derived from the registry index, so the file is a pure view
-    # over every indexed bench run (history included).
+    # re-derived from the records in the runs root, so the file is a
+    # pure view over every recorded bench run (history included).
     payload = {
         "des_seconds": round(des_seconds, 3),
         "stack_seconds": round(stack_seconds, 3),

@@ -11,8 +11,8 @@ Subcommands::
     bench      cold-generation benchmark + per-stage profile table
     trace      columnar trace-store utilities (info / import / verify)
     scenario   declarative workloads (list / show / run / compare)
-    runs       experiment registry (list / show / index / query /
-               compare / promote / trajectory)
+    runs       experiment registry (list / show / compare / promote /
+               trajectory)
     serve      crash-recoverable HTTP replay service
     session    client for a running service (submit / feed / metrics / ...)
     verify     cross-engine differential checker + violation-bundle replay
@@ -218,33 +218,88 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 1 if result.failed_cells else 0
 
 
-def _resolve_run(runs_root: str, name: str) -> Optional[dict]:
-    """A run entry by directory name, run/config-hash prefix, or unique match."""
-    from repro.registry.record import scan_runs_root
+def _registry_command(command):
+    """Wrap a registry verb: RegistryError becomes a clean exit 2."""
+    import functools
 
-    matches = [
-        entry
-        for entry in scan_runs_root(runs_root)
-        if entry["name"] in (name, f"sweep-{name}")
-        or (entry["run_hash"] or "").startswith(name)
-        or (getattr(entry["record"], "config_hash", None) or "").startswith(name)
-    ]
-    return matches[0] if len(matches) == 1 else None
+    @functools.wraps(command)
+    def wrapped(args: argparse.Namespace) -> int:
+        from repro.registry import RegistryError
+
+        try:
+            return command(args)
+        except RegistryError as exc:
+            print(f"runs {args.runs_command}: {exc}", file=sys.stderr)
+            return 2
+
+    return wrapped
 
 
+def _scan_runs(runs_dir: str) -> list:
+    """Every run entry under a runs root, warning once per damaged dir."""
+    from repro.registry import scan_runs_root
+
+    entries = scan_runs_root(runs_dir)
+    for entry in entries:
+        if entry["corrupt"]:
+            print(
+                f"warning: skipping corrupt run dir {entry['name']} "
+                f"(damaged: {', '.join(entry['corrupt'])})",
+                file=sys.stderr,
+            )
+    return entries
+
+
+def _resolve_record(entries: list, ref: str):
+    """The intact run record ``ref`` names (a RegistryError otherwise)."""
+    from repro.registry import RegistryError, resolve_run
+
+    entry = resolve_run(entries, ref)
+    if entry["record"] is None:
+        raise RegistryError(f"run dir {entry['name']} is damaged")
+    return entry["record"]
+
+
+@_registry_command
 def _cmd_runs_list(args: argparse.Namespace) -> int:
-    from repro.analysis.render import TextTable
-    from repro.registry.record import scan_runs_root
+    import json
 
-    entries = scan_runs_root(args.runs_dir)
-    _cmd_runs_warn(entries)
-    entries = [entry for entry in entries if entry["record"] is not None]
+    from repro.analysis.render import TextTable
+    from repro.registry import load_baselines
+
+    baselines: dict = {}
+    for name, baseline in sorted(load_baselines(args.runs_dir).items()):
+        baselines.setdefault(baseline.get("run_hash"), []).append(name)
+    entries = [
+        entry for entry in _scan_runs(args.runs_dir)
+        if entry["record"] is not None
+        and args.kind in (None, entry["record"].kind)
+        and args.status in (None, entry["status"])
+    ]
+    if args.json:
+        runs = []
+        for entry in entries:
+            record = entry["record"]
+            runs.append({
+                "run_hash": entry["run_hash"],
+                "kind": record.kind,
+                "config_hash": record.config_hash,
+                "schema_version": record.schema_version,
+                "status": record.status,
+                "created_at": record.created_at,
+                "wall_seconds": record.wall_seconds,
+                "path": entry["path"],
+                "n_cells": len(record.cells()),
+            })
+        print(json.dumps(runs, indent=1, sort_keys=True))
+        return 0
     if not entries:
-        print(f"no runs under {args.runs_dir}")
+        print(f"no matching runs under {args.runs_dir}")
         return 0
     table = TextTable(
-        ["run", "kind", "status", "tasks", "rows", "failed", "retries"],
-        title=f"Runs in {args.runs_dir}",
+        ["run", "kind", "status", "tasks", "rows", "failed", "retries",
+         "baseline"],
+        title=f"Runs in {args.runs_dir} ({len(entries)})",
     )
     for entry in entries:
         record = entry["record"]
@@ -261,6 +316,7 @@ def _cmd_runs_list(args: argparse.Namespace) -> int:
             str(len(record.rows)),
             str(len(metrics.get("failed_cells") or []) or "-"),
             str(metrics.get("retries", "-")),
+            ",".join(baselines.get(entry["run_hash"], ["-"])),
         )
     print(table.render())
     return 0
@@ -270,15 +326,14 @@ def _cmd_runs_show(args: argparse.Namespace) -> int:
     import json
 
     from repro.analysis.render import TextTable
-    from repro.registry.record import cell_key
+    from repro.registry import (
+        RegistryError, cell_key, resolve_run, scan_runs_root,
+    )
 
-    run = _resolve_run(args.runs_dir, args.run)
-    if run is None:
-        print(
-            f"runs show: no unique run matching {args.run!r} "
-            f"under {args.runs_dir}",
-            file=sys.stderr,
-        )
+    try:
+        run = resolve_run(scan_runs_root(args.runs_dir), args.run)
+    except RegistryError as exc:
+        print(f"runs show: {exc} under {args.runs_dir}", file=sys.stderr)
         return 1
     record = run["record"]
     if record is None:
@@ -336,129 +391,42 @@ def _cmd_runs_show(args: argparse.Namespace) -> int:
     return 0
 
 
-def _registry_command(command):
-    """Wrap a registry verb: RegistryError becomes a clean exit 2."""
-    import functools
-
-    @functools.wraps(command)
-    def wrapped(args: argparse.Namespace) -> int:
-        from repro.registry import RegistryError
-
-        try:
-            return command(args)
-        except RegistryError as exc:
-            print(f"runs {args.runs_command}: {exc}", file=sys.stderr)
-            return 2
-
-    return wrapped
-
-
-@_registry_command
-def _cmd_runs_index(args: argparse.Namespace) -> int:
-    from repro.registry import RegistryIndex, db_path_for
-
-    with RegistryIndex.open(db_path_for(args.runs_dir, args.db)) as index:
-        stats = index.index_root(args.runs_dir)
-    for name in stats["skipped"]:
-        print(
-            f"warning: skipping corrupt run dir {name}", file=sys.stderr
-        )
-    kinds = ", ".join(
-        f"{count} {kind}" for kind, count in sorted(stats["kinds"].items())
-    ) or "none"
-    print(
-        f"indexed {stats['indexed']} new + {stats['replaced']} replaced + "
-        f"{stats['unchanged']} unchanged run(s) ({kinds}) "
-        f"into {db_path_for(args.runs_dir, args.db)}"
-    )
-    return 0
-
-
-@_registry_command
-def _cmd_runs_query(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.analysis.render import TextTable
-    from repro.registry import RegistryIndex, db_path_for
-
-    with RegistryIndex.open_existing(
-        db_path_for(args.runs_dir, args.db)
-    ) as index:
-        runs = index.runs(kind=args.kind, status=args.status)
-        baselines = {
-            row["run_hash"]: row["name"] for row in index.baselines()
-        }
-    if args.json:
-        print(json.dumps(runs, indent=1, sort_keys=True))
-        return 0
-    if not runs:
-        print("no indexed runs match")
-        return 0
-    table = TextTable(
-        ["run", "kind", "status", "cells", "schema", "baseline"],
-        title=f"Indexed runs ({len(runs)})",
-    )
-    for run in runs:
-        table.add_row(
-            run["run_hash"][:12],
-            run["kind"],
-            run["status"],
-            str(run["n_cells"]),
-            f"v{run['schema_version']}",
-            baselines.get(run["run_hash"], "-"),
-        )
-    print(table.render())
-    return 0
-
-
 @_registry_command
 def _cmd_runs_compare(args: argparse.Namespace) -> int:
-    from repro.registry import (
-        RegistryIndex, Tolerance, compare_runs, db_path_for,
-    )
+    from repro.registry import Tolerance, baseline_record, compare_runs
 
-    with RegistryIndex.open_existing(
-        db_path_for(args.runs_dir, args.db)
-    ) as index:
-        if args.right is not None:
-            left_hash = index.resolve(args.left)["run_hash"]
-            right_hash = index.resolve(args.right)["run_hash"]
-        else:
-            # One run named: gate it against the promoted baseline.
-            left_hash = index.baseline(args.baseline)["run_hash"]
-            right_hash = index.resolve(args.left)["run_hash"]
-        result = compare_runs(
-            index, left_hash, right_hash,
-            Tolerance(rel=args.rel_tol, abs=args.abs_tol),
-        )
+    entries = _scan_runs(args.runs_dir)
+    if args.right is not None:
+        left = _resolve_record(entries, args.left)
+        right = _resolve_record(entries, args.right)
+    else:
+        # One run named: gate it against the promoted baseline.
+        left = baseline_record(args.runs_dir, entries, args.baseline)
+        right = _resolve_record(entries, args.left)
+    result = compare_runs(
+        left, right, Tolerance(rel=args.rel_tol, abs=args.abs_tol)
+    )
     print(result.render())
     return 0 if result.ok else 1
 
 
 @_registry_command
 def _cmd_runs_promote(args: argparse.Namespace) -> int:
-    from repro.registry import RegistryIndex, db_path_for
+    from repro.registry import promote
 
-    with RegistryIndex.open_existing(
-        db_path_for(args.runs_dir, args.db)
-    ) as index:
-        run = index.resolve(args.run)
-        promoted = index.promote(args.name, run["run_hash"])
-    print(
-        f"promoted {promoted['run_hash']} as baseline "
-        f"{promoted['name']!r}"
-    )
+    record = _resolve_record(_scan_runs(args.runs_dir), args.run)
+    promoted = promote(args.runs_dir, args.name, record)
+    print(f"promoted {promoted['run_hash']} as baseline {args.name!r}")
     return 0
 
 
 @_registry_command
 def _cmd_runs_trajectory(args: argparse.Namespace) -> int:
-    from repro.registry import RegistryIndex, db_path_for, render_trajectory
+    from repro.registry import render_trajectory
 
-    with RegistryIndex.open_existing(
-        db_path_for(args.runs_dir, args.db)
-    ) as index:
-        print(render_trajectory(index, args.benchmark, metric=args.metric))
+    print(render_trajectory(
+        _scan_runs(args.runs_dir), args.benchmark, metric=args.metric
+    ))
     return 0
 
 
@@ -775,17 +743,6 @@ def _cmd_trace_import(args: argparse.Namespace) -> int:
         f"into {store.path}"
     )
     return 0
-
-
-def _cmd_runs_warn(runs) -> None:
-    """Print one stderr warning per damaged run dir (skip-and-warn)."""
-    for run in runs:
-        if run.get("corrupt"):
-            print(
-                f"warning: skipping corrupt run dir {run['name']} "
-                f"(damaged: {', '.join(run['corrupt'])})",
-                file=sys.stderr,
-            )
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1271,19 +1228,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "runs",
         help="the experiment registry: recorded runs "
-        "(list / show / index / query / compare / promote / trajectory)",
+        "(list / show / compare / promote / trajectory)",
     )
     runs_sub = p.add_subparsers(dest="runs_command", required=True)
 
-    def _add_db_arg(parser: argparse.ArgumentParser) -> None:
-        parser.add_argument(
-            "--db", default=None, metavar="FILE",
-            help="registry database path "
-            "(default: <runs_dir>/registry.sqlite)",
-        )
-
-    r = runs_sub.add_parser("list", help="table of runs under a runs dir")
+    r = runs_sub.add_parser(
+        "list", help="table of runs under a runs root, filterable by "
+        "kind/status, with promoted baselines marked"
+    )
     r.add_argument("runs_dir", help="runs root (the --run-dir)")
+    r.add_argument("--kind", default=None,
+                   help="only runs of this kind (sweep/bench/report/...)")
+    r.add_argument("--status", default=None,
+                   help="only runs with this status")
+    r.add_argument("--json", action="store_true",
+                   help="dump matching runs as JSON")
     r.set_defaults(func=_cmd_runs_list)
 
     r = runs_sub.add_parser(
@@ -1298,33 +1257,11 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(func=_cmd_runs_show)
 
     r = runs_sub.add_parser(
-        "index",
-        help="fold every run dir under the root into registry.sqlite "
-        "(idempotent, content-addressed by run hash)",
-    )
-    r.add_argument("runs_dir", help="runs root to index")
-    _add_db_arg(r)
-    r.set_defaults(func=_cmd_runs_index)
-
-    r = runs_sub.add_parser(
-        "query", help="table of indexed runs, filterable by kind/status"
-    )
-    r.add_argument("runs_dir", help="runs root (locates the database)")
-    r.add_argument("--kind", default=None,
-                   help="only runs of this kind (sweep/bench/report/...)")
-    r.add_argument("--status", default=None,
-                   help="only runs with this status")
-    r.add_argument("--json", action="store_true",
-                   help="dump matching runs as JSON")
-    _add_db_arg(r)
-    r.set_defaults(func=_cmd_runs_query)
-
-    r = runs_sub.add_parser(
         "compare",
-        help="cell-by-cell diff of two indexed runs (or one run vs a "
-        "promoted baseline); exit 1 on out-of-tolerance cells",
+        help="cell-by-cell diff of two runs (or one run vs a promoted "
+        "baseline); exit 1 on out-of-tolerance cells",
     )
-    r.add_argument("runs_dir", help="runs root (locates the database)")
+    r.add_argument("runs_dir", help="runs root (the --run-dir)")
     r.add_argument("left", help="reference run (or the candidate, with "
                    "--baseline)")
     r.add_argument("right", nargs="?", default=None,
@@ -1337,29 +1274,27 @@ def build_parser() -> argparse.ArgumentParser:
                    help="relative tolerance per metric (default 0: exact)")
     r.add_argument("--abs-tol", type=float, default=0.0,
                    help="absolute tolerance per metric (default 0: exact)")
-    _add_db_arg(r)
     r.set_defaults(func=_cmd_runs_compare)
 
     r = runs_sub.add_parser(
-        "promote", help="pin one indexed run as a named baseline"
+        "promote", help="pin one run as a named baseline "
+        "(<runs_dir>/baselines.json)"
     )
-    r.add_argument("runs_dir", help="runs root (locates the database)")
+    r.add_argument("runs_dir", help="runs root (the --run-dir)")
     r.add_argument("run", help="run to promote (hash prefix or dir name)")
     r.add_argument("--name", default="default",
                    help="baseline name (default: 'default')")
-    _add_db_arg(r)
     r.set_defaults(func=_cmd_runs_promote)
 
     r = runs_sub.add_parser(
         "trajectory",
-        help="perf history of one benchmark across every indexed bench run",
+        help="perf history of one benchmark across every recorded bench run",
     )
-    r.add_argument("runs_dir", help="runs root (locates the database)")
+    r.add_argument("runs_dir", help="runs root (the --run-dir)")
     r.add_argument("benchmark", help="benchmark name (e.g. stackdist_sweep)")
     r.add_argument("--metric", default=None,
                    help="metric to trend (default: speedup, else the "
                    "benchmark's first metric)")
-    _add_db_arg(r)
     r.set_defaults(func=_cmd_runs_trajectory)
 
     p = sub.add_parser(

@@ -113,7 +113,10 @@ class HSM:
                 continue  # do not wipe the cache for speculation
             self.metrics.prefetches_issued += 1
             self.metrics.bytes_staged += sibling_size
-            self.cache._insert(sibling_id, sibling_size, time, dirty=False)
+            for evicted in self.cache._insert(
+                sibling_id, sibling_size, time, dirty=False
+            ):
+                self.prefetcher.cancel(evicted)
             self.prefetcher.note_prefetched(sibling_id)
 
     def run(self, events: Iterable[Event]) -> HSMMetrics:

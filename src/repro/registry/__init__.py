@@ -1,28 +1,31 @@
-"""Experiment registry: a unified run ledger + cross-run SQLite index.
+"""Experiment registry: one run ledger of ``run_record.json`` files.
 
-One file per run, one index over all of them:
+One file per run, and every reader scans the files themselves:
 
 * :mod:`repro.registry.record` -- the versioned ``RunRecord`` schema
   every run-producing surface emits (``sweep --run-dir``, ``report``,
-  the throughput benchmarks, ``chaos run``, ``verify diff``); a sweep's
-  record doubles as its resume checkpoint.
-* :mod:`repro.registry.index` -- ``registry.sqlite`` (WAL), folding run
-  dirs into ``runs`` / ``cells`` / ``bench`` / ``baselines`` tables,
-  idempotently keyed by content-addressed run hash.
+  the throughput benchmarks, ``chaos run``, ``verify diff``), the
+  runs-root scan and the run resolver; a sweep's record doubles as its
+  resume checkpoint.
 * :mod:`repro.registry.compare` -- tolerance-gated cell-by-cell run
-  diffs (the ``repro runs compare`` regression gate).
+  diffs (the ``repro runs compare`` regression gate) and the named
+  baselines in ``baselines.json``.
 * :mod:`repro.registry.views` -- bench trajectories and the
-  ``BENCH_sweep.json`` view over indexed bench runs (written into the
+  ``BENCH_sweep.json`` view over the bench records (written into the
   runs root).
 * :mod:`repro.registry.emit` -- per-surface RunRecord writers.
 """
 
 from repro.registry.compare import (  # noqa: F401
+    BASELINES_FILENAME,
     CellDiff,
     CompareResult,
     Tolerance,
+    baseline_record,
     compare_cells,
     compare_runs,
+    load_baselines,
+    promote,
 )
 from repro.registry.emit import (  # noqa: F401
     record_bench_run,
@@ -31,21 +34,17 @@ from repro.registry.emit import (  # noqa: F401
     record_run,
     record_verify_run,
 )
-from repro.registry.index import (  # noqa: F401
-    DB_FILENAME,
-    RegistryError,
-    RegistryIndex,
-    db_path_for,
-)
 from repro.registry.record import (  # noqa: F401
     RECORD_FILENAME,
     RECORD_FORMAT,
     RECORD_VERSION,
+    RegistryError,
     RunRecord,
     cell_key,
     flatten_metrics,
     load_run_record,
     new_run_dir,
+    resolve_run,
     scan_runs_root,
     sweep_rows_to_record_rows,
     write_run_record,
@@ -59,26 +58,27 @@ from repro.registry.views import (  # noqa: F401
 )
 
 __all__ = [
+    "BASELINES_FILENAME",
     "BENCH_SWEEP_BENCHMARK",
     "BENCH_VIEW_FORMAT",
     "CellDiff",
     "CompareResult",
-    "DB_FILENAME",
     "RECORD_FILENAME",
     "RECORD_FORMAT",
     "RECORD_VERSION",
     "RegistryError",
-    "RegistryIndex",
     "RunRecord",
     "Tolerance",
+    "baseline_record",
     "bench_view_payload",
     "cell_key",
     "compare_cells",
     "compare_runs",
-    "db_path_for",
     "flatten_metrics",
+    "load_baselines",
     "load_run_record",
     "new_run_dir",
+    "promote",
     "record_bench_run",
     "record_chaos_run",
     "record_report_run",
@@ -86,6 +86,7 @@ __all__ = [
     "record_verify_run",
     "refresh_bench_view",
     "render_trajectory",
+    "resolve_run",
     "scan_runs_root",
     "sweep_rows_to_record_rows",
     "write_run_record",

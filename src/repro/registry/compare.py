@@ -1,22 +1,36 @@
-"""Cell-by-cell run comparison: the regression gate.
+"""Cell-by-cell run comparison and named baselines: the regression gate.
 
 ``repro runs compare A B`` (or ``A`` against a promoted baseline) diffs
-two indexed runs over the ``cells`` table: every cell the runs share is
-compared metric by metric under a configurable relative/absolute
-tolerance, and cells present on only one side are regressions in
-themselves (a vanished grid cell is not a pass).  The verdict maps to
-the exit code -- 0 when everything is within tolerance, 1 otherwise --
-so "did PR N regress policy X on workload Y" is one command in CI.
+two run records' :meth:`~repro.registry.record.RunRecord.cells`: every
+cell the runs share is compared metric by metric under a configurable
+relative/absolute tolerance, and cells present on only one side are
+regressions in themselves (a vanished grid cell is not a pass).  The
+verdict maps to the exit code -- 0 when everything is within tolerance,
+1 otherwise -- so "did PR N regress policy X on workload Y" is one
+command in CI.
 
-Numbers come straight from SQLite, which returns the exact binary64 (or
-64-bit integer) the run directory's JSON stored, so a zero-tolerance
-compare of a run against itself is exact, not approximately so.
+Numbers come straight from the records' JSON, which round-trips
+binary64 floats and integers exactly, so a zero-tolerance compare of a
+run against itself is exact, not approximately so.
+
+Baselines live in ``<runs root>/baselines.json`` as
+``{name: {run_hash, promoted_at}}``.  A baseline names a run by content
+hash, so once its run dir is rewritten or deleted the baseline no longer
+resolves, and the gate says so instead of comparing against nothing.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from pathlib import Path
+from typing import Any, Dict, List, Union
+
+from repro.engine.resilience import write_json_atomic
+from repro.registry.record import RegistryError, RunRecord, utcnow
+
+#: The named-baselines file inside a runs root.
+BASELINES_FILENAME = "baselines.json"
 
 
 @dataclass(frozen=True)
@@ -148,16 +162,64 @@ def compare_cells(
 
 
 def compare_runs(
-    index,
-    left_hash: str,
-    right_hash: str,
+    left: RunRecord,
+    right: RunRecord,
     tolerance: Tolerance = Tolerance(),
 ) -> CompareResult:
-    """Diff two indexed runs by hash, straight off the cells table."""
+    """Diff two run records cell by cell."""
     return compare_cells(
-        index.cells(left_hash),
-        index.cells(right_hash),
+        left.cells(),
+        right.cells(),
         tolerance,
-        left_label=left_hash[:12],
-        right_label=right_hash[:12],
+        left_label=left.run_hash()[:12],
+        right_label=right.run_hash()[:12],
+    )
+
+
+def load_baselines(runs_root: Union[str, Path]) -> Dict[str, Dict[str, Any]]:
+    """``{name: {run_hash, promoted_at}}``; empty when none is promoted."""
+    path = Path(runs_root) / BASELINES_FILENAME
+    try:
+        baselines = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        return {}
+    except (OSError, ValueError) as exc:
+        raise RegistryError(f"unreadable {path}: {exc}")
+    if not isinstance(baselines, dict):
+        raise RegistryError(f"unreadable {path}: not a JSON object")
+    return baselines
+
+
+def promote(
+    runs_root: Union[str, Path], name: str, record: RunRecord
+) -> Dict[str, Any]:
+    """Pin ``record`` as the named baseline; returns the new entry."""
+    baselines = load_baselines(runs_root)
+    baselines[name] = {"run_hash": record.run_hash(), "promoted_at": utcnow()}
+    write_json_atomic(Path(runs_root) / BASELINES_FILENAME, baselines)
+    return baselines[name]
+
+
+def baseline_record(
+    runs_root: Union[str, Path],
+    entries: List[Dict[str, Any]],
+    name: str,
+) -> RunRecord:
+    """The run the named baseline pins, from a scan of ``runs_root``.
+
+    Raises :class:`RegistryError` when no such baseline was promoted, or
+    when its run is no longer under the root (rewritten or deleted).
+    """
+    baselines = load_baselines(runs_root)
+    if name not in baselines:
+        hint = f"; promoted baselines: {sorted(baselines)}" if baselines \
+            else "; none promoted yet (see `repro runs promote`)"
+        raise RegistryError(f"no baseline named {name!r}{hint}")
+    run_hash = baselines[name].get("run_hash")
+    for entry in entries:
+        if entry["run_hash"] == run_hash:
+            return entry["record"]
+    raise RegistryError(
+        f"baseline {name!r} pins run {run_hash}, which is no longer under "
+        f"{runs_root} (rewritten or deleted); promote a current run"
     )

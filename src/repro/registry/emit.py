@@ -4,7 +4,7 @@ Each helper translates one surface's native result shape -- bench
 timing payloads, report comparisons, chaos soak reports, differential
 check reports -- into the common :class:`~repro.registry.record.RunRecord`
 form and writes it into a content-addressed directory under the runs
-root, where ``repro runs index`` will find it.  (Sweeps emit their own
+root, where every ``repro runs`` verb reads it.  (Sweeps emit their own
 record inline from :func:`repro.engine.sweep.run_sweep`, which already
 owns a run directory.)
 """
@@ -16,8 +16,8 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro.registry.record import (
     RunRecord,
+    bench_metrics,
     default_code_versions,
-    flatten_metrics,
     new_run_dir,
     utcnow,
 )
@@ -50,22 +50,24 @@ def record_run(
 def record_bench_run(
     runs_root: Union[str, Path],
     benchmark: str,
-    payload: Dict[str, Any],
+    payload: Any,
     config: Optional[Dict[str, Any]] = None,
     created_at: Optional[float] = None,
 ) -> Path:
     """One benchmark's timing payload as a bench-kind run.
 
-    ``payload`` is the nested timings dict the bench measured; its
-    scalar leaves become comparable cells (dotted names for nested
-    breakdowns) while the full nested form is preserved under
-    ``metrics`` for the BENCH view.
+    ``payload`` is the nested timings dict the bench measured, or a bare
+    number; its scalar leaves become comparable cells (dotted names for
+    nested breakdowns, the benchmark's own name for a bare number) while
+    the full form is preserved under ``metrics`` for the BENCH view.
     """
     return record_run(
         runs_root,
         kind="bench",
         config={"benchmark": benchmark, **(config or {})},
-        rows=[{"cell": benchmark, "values": flatten_metrics(payload)}],
+        rows=[
+            {"cell": benchmark, "values": bench_metrics(benchmark, payload)}
+        ],
         metrics={benchmark: payload},
         created_at=created_at,
     )

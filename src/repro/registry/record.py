@@ -4,21 +4,20 @@ Every run-producing surface -- ``sweep --run-dir``, ``report``,
 ``bench``, ``chaos run``, ``verify diff`` -- writes one file, a
 ``run_record.json`` (schema v2) describing *what kind* of run it was,
 *which configuration* produced it, *what it measured* (per-cell rows +
-free-form metric payloads), and *how it ended* -- so the SQLite index
-(:mod:`repro.registry.index`) can fold heterogeneous runs into one
-queryable ledger.  A sweep's record is also its checkpoint:
-:mod:`repro.engine.sweep` rewrites it as each task finishes and resumes
-from it, so :func:`load_run_record` is the one loader behind resume,
-``repro runs list|show`` and ``repro runs index``.
+free-form metric payloads), and *how it ended*.  The records are the
+ledger: every ``repro runs`` verb reads them through
+:func:`scan_runs_root`, so no second copy can go stale.  A sweep's
+record is also its checkpoint: :mod:`repro.engine.sweep` rewrites it as
+each task finishes and resumes from it, so :func:`load_run_record` is
+the one loader behind resume and every ``repro runs`` verb.
 
 Forward compatibility is pinned by tests: unknown top-level JSON keys
 written by a future schema are preserved in :attr:`RunRecord.extra` and
-round-trip through load, re-write, and re-index untouched.
+round-trip through load and re-write untouched.
 
 Identity is content-addressed: :meth:`RunRecord.run_hash` digests the
 canonical JSON payload, so a byte-identical record has one identity no
-matter where it sits on disk, and re-indexing is idempotent by
-construction.
+matter where it sits on disk.
 """
 
 from __future__ import annotations
@@ -41,10 +40,6 @@ RECORD_VERSION = 2
 
 #: The record's filename inside a run directory.
 RECORD_FILENAME = "run_record.json"
-
-#: Run kinds the index knows how to project into typed tables.  Unknown
-#: kinds still index (runs + cells); they just get no special views.
-KNOWN_KINDS = ("sweep", "bench", "report", "chaos", "verify")
 
 #: Fields of the serialized payload that belong to the schema; anything
 #: else round-trips through :attr:`RunRecord.extra`.
@@ -87,9 +82,8 @@ def flatten_metrics(payload: Any, prefix: str = "") -> Dict[str, Any]:
     """Nested metric payload -> flat ``{dotted.name: scalar}`` mapping.
 
     Non-scalar leaves that are not dicts (lists, None) are dropped: the
-    flat form feeds the SQLite ``cells``/``bench`` tables, which hold
-    comparable scalars only.  The full nested payload stays available in
-    the record itself.
+    flat form holds comparable scalars only.  The full nested payload
+    stays available in the record itself.
     """
     flat: Dict[str, Any] = {}
     if isinstance(payload, dict):
@@ -98,6 +92,19 @@ def flatten_metrics(payload: Any, prefix: str = "") -> Dict[str, Any]:
     elif prefix and isinstance(payload, (bool, int, float, str)):
         flat[prefix[:-1]] = payload
     return flat
+
+
+def bench_metrics(benchmark: str, payload: Any) -> Dict[str, Any]:
+    """One benchmark's timing payload as flat ``{metric: scalar}``.
+
+    A dict payload flattens to its dotted leaves; a bare scalar (e.g.
+    ``generate_cold_seconds: 1.25``) is one metric named after its
+    benchmark.  Bench rows and ``repro runs trajectory`` share this
+    naming.
+    """
+    if isinstance(payload, dict):
+        return flatten_metrics(payload)
+    return flatten_metrics({benchmark: payload})
 
 
 @dataclass
@@ -127,7 +134,7 @@ class RunRecord:
     config_hash: Optional[str] = None
     code_versions: Dict[str, Any] = field(default_factory=dict)
     #: Unknown top-level payload keys, preserved verbatim (forward
-    #: compatibility: a v3 writer's extra fields survive a v2 re-index).
+    #: compatibility: a v3 writer's extra fields survive a v2 rewrite).
     extra: Dict[str, Any] = field(default_factory=dict)
     #: Directory the record was loaded from (not serialized, not hashed).
     path: Optional[str] = None
@@ -207,8 +214,8 @@ def sweep_rows_to_record_rows(
 
     The ``values`` dict carries every metrics counter plus the cell's
     ``capacity_bytes`` exactly as the sweep computed them (JSON floats
-    round-trip, ints stay ints), so a resume and the index can later
-    hand the identical numbers back.  ``attempts``/``status`` are
+    round-trip, ints stay ints), so a resume and ``runs compare`` can
+    later hand the identical numbers back.  ``attempts``/``status`` are
     execution metadata, not results: they go under ``meta`` where
     ``compare`` never looks (a retried cell is not a regression).
     """
@@ -279,8 +286,12 @@ def load_run_record(run_dir: Union[str, Path]) -> Optional[RunRecord]:
         return None
 
 
+class RegistryError(RuntimeError):
+    """A ``repro runs`` request that cannot proceed (bad ref, no baseline)."""
+
+
 # ---------------------------------------------------------------------------
-# Runs-root scanning (shared by `repro runs list|show` and the index)
+# Runs-root scanning (shared by sweep resume and every `repro runs` verb)
 
 
 def scan_runs_root(runs_root: Union[str, Path]) -> List[Dict[str, Any]]:
@@ -316,6 +327,32 @@ def scan_runs_root(runs_root: Union[str, Path]) -> List[Dict[str, Any]]:
         e["name"],
     ))
     return entries
+
+
+def resolve_run(entries: List[Dict[str, Any]], ref: str) -> Dict[str, Any]:
+    """The one scan entry ``ref`` names: a directory name, a run-hash
+    prefix, or a config-hash prefix.
+
+    A damaged dir matches by name only.  Raises :class:`RegistryError`
+    when nothing matches, or when the matches hold two different runs
+    (several bench runs of one config share its config hash).
+    """
+    matches = [
+        entry for entry in entries
+        if entry["name"] == ref
+        or (entry["record"] is not None and (
+            entry["run_hash"].startswith(ref)
+            or entry["record"].config_hash.startswith(ref)
+        ))
+    ]
+    if not matches:
+        raise RegistryError(f"no run matches {ref!r}")
+    runs = sorted({entry["run_hash"] or entry["name"] for entry in matches})
+    if len(runs) > 1:
+        raise RegistryError(
+            f"{ref!r} is ambiguous: matches runs {', '.join(runs)}"
+        )
+    return matches[0]
 
 
 def utcnow() -> float:

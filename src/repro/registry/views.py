@@ -1,12 +1,11 @@
-"""Derived read-views over the registry: trajectories and bench files.
+"""Derived read-views over the run records: trajectories and bench files.
 
 ``repro runs trajectory`` renders a named benchmark's metric history
-across every indexed bench run, and ``BENCH_sweep.json`` -- written next
-to ``registry.sqlite`` in the runs root (``.runs/`` by default) -- is
-regenerated here as a pure view over the index, so the file and the
-database can never disagree: the benchmark writes a RunRecord, the
-record is indexed, and the file is re-derived from whatever the DB then
-holds.
+across every bench run under a runs root, and ``BENCH_sweep.json`` --
+written into the runs root (``.runs/`` by default) -- is regenerated
+here as a pure view over the same records, so the file can never
+disagree with them: the benchmark writes a RunRecord, and the file is
+re-derived from whatever records the root then holds.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.registry.index import DB_FILENAME, RegistryError, RegistryIndex
+from repro.registry.record import RegistryError, bench_metrics, scan_runs_root
 
 #: ``format`` marker of the regenerated BENCH view file.
 BENCH_VIEW_FORMAT = "repro-bench-view-v1"
@@ -36,8 +35,48 @@ def _format_when(created_at: Optional[float]) -> str:
     return stamp.strftime("%Y-%m-%d %H:%M:%S")
 
 
+def _bench_points(entries: List[Dict[str, Any]]):
+    """``(entry, benchmark, flat metrics)`` for each bench run's payload.
+
+    The benchmark is the record's ``config["benchmark"]``, else the
+    metrics key; payloads that flatten to nothing are skipped.
+    """
+    for entry in entries:
+        record = entry["record"]
+        if record is None or record.kind != "bench":
+            continue
+        for name, payload in record.metrics.items():
+            metrics = bench_metrics(name, payload)
+            if metrics:
+                yield entry, record.config.get("benchmark") or name, metrics
+
+
+def bench_history(
+    entries: List[Dict[str, Any]], benchmark: str
+) -> List[Dict[str, Any]]:
+    """Every recorded run of one benchmark, in scan order (oldest first).
+
+    Each point carries the run identity plus the benchmark's *top-level*
+    metrics (dotted breakdown keys stay in the full record, also carried
+    as ``record``).
+    """
+    return [
+        {
+            "run_hash": entry["run_hash"],
+            "created_at": entry["record"].created_at,
+            "metrics": {
+                name: metrics[name] for name in sorted(metrics)
+                if "." not in name
+            },
+            "record": entry["record"],
+        }
+        for entry, name, metrics in _bench_points(entries)
+        if name == benchmark
+    ]
+
+
 def render_trajectory(
-    index: RegistryIndex,
+    entries: List[Dict[str, Any]],
     benchmark: str,
     metric: Optional[str] = None,
 ) -> str:
@@ -49,11 +88,11 @@ def render_trajectory(
     """
     from repro.analysis.render import TextTable
 
-    history = index.bench_history(benchmark)
+    history = bench_history(entries, benchmark)
     if not history:
-        known = index.benchmarks()
-        hint = f"; indexed benchmarks: {', '.join(known)}" if known else \
-            "; no bench runs indexed yet"
+        known = sorted({name for _, name, _ in _bench_points(entries)})
+        hint = f"; recorded benchmarks: {', '.join(known)}" if known else \
+            "; no bench runs recorded yet"
         raise RegistryError(f"no bench runs for {benchmark!r}{hint}")
     metric_names: List[str] = []
     for point in history:
@@ -100,7 +139,7 @@ def render_trajectory(
 
 
 def bench_view_payload(
-    index: RegistryIndex, benchmark: str
+    entries: List[Dict[str, Any]], benchmark: str
 ) -> Dict[str, Any]:
     """The BENCH view document: newest run's full payload + history.
 
@@ -108,18 +147,17 @@ def bench_view_payload(
     benchmark recorded it (per-policy breakdowns included); ``history``
     is the top-level metric trajectory, oldest first.
     """
-    history = index.bench_history(benchmark)
+    history = bench_history(entries, benchmark)
     if not history:
         raise RegistryError(f"no bench runs for {benchmark!r}")
     newest = history[-1]
-    record = index.get_record(newest["run_hash"])
-    latest = (record.get("metrics") or {}).get(benchmark, {})
     return {
         "format": BENCH_VIEW_FORMAT,
         "benchmark": benchmark,
+        # The view-v1 name for the number of recorded runs.
         "runs_indexed": len(history),
         "latest_run": newest["run_hash"],
-        "latest": latest,
+        "latest": newest["record"].metrics.get(benchmark, {}),
         "history": [
             {
                 "run": point["run_hash"],
@@ -136,16 +174,12 @@ def refresh_bench_view(
     benchmark: str,
     out_path: Union[str, Path],
 ) -> Dict[str, Any]:
-    """(Re)index a runs root and rewrite one benchmark's view file.
+    """Rewrite one benchmark's view file from the records under a root.
 
-    The whole pipeline behind ``BENCH_sweep.json``: fold new run dirs
-    into ``registry.sqlite``, derive the view, write it atomically.
-    Returns the written payload.
+    The whole pipeline behind ``BENCH_sweep.json``: scan the root,
+    derive the view, write it atomically.  Returns the written payload.
     """
-    runs_root = Path(runs_root)
-    with RegistryIndex.open(runs_root / DB_FILENAME) as index:
-        index.index_root(runs_root)
-        payload = bench_view_payload(index, benchmark)
+    payload = bench_view_payload(scan_runs_root(runs_root), benchmark)
     out_path = Path(out_path)
     tmp = out_path.with_name(out_path.name + ".tmp")
     tmp.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")

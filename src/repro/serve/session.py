@@ -227,6 +227,8 @@ class ReplaySession:
             raise SessionError("session is finalized; no further chunks")
         if not len(batch):
             return
+        if not np.all(np.isfinite(batch.time)):
+            raise SessionError("chunk times must be finite")
         if np.any(np.diff(batch.time) < 0):
             raise SessionError("chunk times must be nondecreasing")
         start = float(batch.time[0])
@@ -378,7 +380,7 @@ class JournaledSession:
     Layout::
 
         <dir>/
-          session.json            # the SessionSpec (rebuild without client)
+          session.json            # the SessionSpec + the finalize seal
           journal.bin             # append-only chunk frames
           snapshot-<n>.pkl        # periodic pickled session state
 
@@ -421,12 +423,20 @@ class JournaledSession:
         if (session_dir / SESSION_META_NAME).exists():
             raise SessionError(f"session directory already exists: {session_dir}")
         session_dir.mkdir(parents=True, exist_ok=True)
-        write_json_atomic(session_dir / SESSION_META_NAME, {
+        journaled = cls(
+            session_dir, spec, ReplaySession(spec), snapshot_every
+        )
+        journaled._write_meta()
+        return journaled
+
+    def _write_meta(self) -> None:
+        """(Re)write ``session.json``: the spec, and whether it is sealed."""
+        write_json_atomic(self.session_dir / SESSION_META_NAME, {
             "format": SESSION_MAGIC,
-            "snapshot_every": snapshot_every,
-            "spec": spec.to_dict(),
+            "snapshot_every": self.snapshot_every,
+            "spec": self.spec.to_dict(),
+            "finalized": self.session.finalized,
         })
-        return cls(session_dir, spec, ReplaySession(spec), snapshot_every)
 
     @classmethod
     def open(cls, session_dir: Union[str, Path]) -> "JournaledSession":
@@ -467,6 +477,9 @@ class JournaledSession:
         # what an uninterrupted server would hold.
         for batch in journaled.journal.replay(skip=applied):
             session.feed(batch)
+        if meta.get("finalized"):
+            # Sealed: the snapshot that says so may be missing or ignored.
+            session.finalize()
         journaled.session = session
         if invariants_enabled():
             check_journal_recovery(
@@ -523,7 +536,12 @@ class JournaledSession:
         return ack
 
     def finalize(self) -> dict:
-        """Flush, seal, snapshot, and return the final metrics."""
+        """Flush, seal, snapshot, and return the final metrics.
+
+        The seal is also recorded in ``session.json``, so a reopen
+        finalizes even when no snapshot can be loaded.
+        """
         final = self.session.finalize()
+        self._write_meta()
         self.close()
         return final

@@ -1,5 +1,7 @@
 """HSM manager, prefetch, metrics and policy-ordering tests."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.engine import capacity_sweep_batches, prepare_stream, replay_policy
@@ -111,6 +113,32 @@ def test_hsm_prefetch_requires_namespace():
     config = HSMConfig.with_capacity(1000, prefetch=True)
     with pytest.raises(ValueError):
         HSM(config, LRUPolicy(), namespace=None)
+
+
+class _OneDirectory:
+    """Ten 10-byte files in one directory, in sequence order."""
+
+    def __init__(self):
+        self.files = [SimpleNamespace(file_id=i, size=10) for i in range(10)]
+
+    def sibling_after(self, entry):
+        following = entry.file_id + 1
+        return self.files[following] if following < len(self.files) else None
+
+
+def test_prefetch_evictions_cancel_outstanding_prefetches():
+    """A prefetched file that a later prefetch evicts is no longer a
+    prefetch: staged again by a demand miss, its next read is no hit."""
+    hsm = HSM(HSMConfig.with_capacity(40, prefetch=True), LRUPolicy(),
+              namespace=_OneDirectory())
+    # 0 misses and prefetches 1, 2; 5's prefetches of 6, 7 evict 1, 2;
+    # 1 misses (demand-staged, prefetching 2, 3); then 1 and 2 hit, and
+    # only 2 was staged by a prefetch.
+    for time, file_id in enumerate([0, 5, 1, 1, 2]):
+        hsm.handle((file_id, 10, float(time), False))
+    assert hsm.metrics.prefetches_issued == 6
+    assert hsm.metrics.read_hits == 2
+    assert hsm.metrics.prefetch_hits == 1
 
 
 def test_events_from_trace_structure(tiny_trace):

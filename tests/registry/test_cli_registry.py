@@ -1,14 +1,19 @@
 """The ``repro runs`` registry verbs, end to end through ``main``.
 
-index -> query -> promote -> compare -> trajectory over a runs root
-holding sweep, bench and verify records, and damage; exit codes are the
+list -> promote -> compare -> trajectory over a runs root holding
+sweep, bench and verify records, and damage; exit codes are the
 contract CI scripts on (compare: 1 on regression, 2 on usage errors).
+Every verb reads the records as they stand, so a rewritten or deleted
+run dir is never answered from a stale copy.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
+
+import pytest
 
 from repro.core.cli import main
 from repro.registry.emit import record_bench_run, record_run
@@ -59,14 +64,18 @@ def test_index_query_promote_compare_trajectory(tmp_path, capsys):
     base_hash = load_run_record(baseline).run_hash()
     skew_hash = load_run_record(skewed).run_hash()
 
-    assert main(["runs", "index", str(root)]) == 0
+    # The sweep dir lists alongside the emitted sweep records.
+    assert main(["runs", "list", str(root), "--kind", "sweep"]) == 0
     out = capsys.readouterr().out
-    assert "indexed 5 new" in out
-
-    # The sweep dir indexes alongside the emitted sweep records.
-    assert main(["runs", "query", str(root), "--kind", "sweep"]) == 0
-    out = capsys.readouterr().out
-    assert "Indexed runs (3)" in out and "v2" in out
+    assert "(3)" in out and "bench-" not in out
+    assert main(["runs", "list", str(root), "--kind", "sweep", "--json"]) == 0
+    listed = json.loads(capsys.readouterr().out)
+    assert [run["schema_version"] for run in listed] == [2, 2, 2]
+    assert [run["run_hash"] for run in listed][:2] == [base_hash, skew_hash]
+    assert set(listed[0]) == {
+        "run_hash", "kind", "config_hash", "schema_version", "status",
+        "created_at", "wall_seconds", "path", "n_cells",
+    }
 
     # Self-compare: exit 0, bit-identical.
     assert main(["runs", "compare", str(root), base_hash, base_hash]) == 0
@@ -99,34 +108,127 @@ def test_index_query_promote_compare_trajectory(tmp_path, capsys):
     ]) == 0
     capsys.readouterr()
 
-    # Trajectory renders both indexed bench points.
+    # Trajectory renders both recorded bench points.
     assert main(["runs", "trajectory", str(root), "stackdist_sweep"]) == 0
     out = capsys.readouterr().out
     assert "2 runs" in out and "3.5" in out and "4.5" in out
 
-    # The query table marks the promoted baselines.
-    assert main(["runs", "query", str(root)]) == 0
+    # The list table marks the promoted baselines.
+    assert main(["runs", "list", str(root)]) == 0
     out = capsys.readouterr().out
-    assert "default" in out and "nightly" in out
+    assert "baseline" in out
+    [base_line] = [line for line in out.splitlines() if baseline.name in line]
+    [skew_line] = [line for line in out.splitlines() if skewed.name in line]
+    assert base_line.split()[-1] == "default"
+    assert skew_line.split()[-1] == "nightly"
+
+
+def test_rewritten_record_is_read_as_it_stands(tmp_path, capsys):
+    root = tmp_path / "runs"
+    reference = record_run(
+        root, kind="sweep", config={"x": 1},
+        rows=[{"cell": "c", "values": {"v": 1.0}}], created_at=30.0,
+    )
+    candidate = record_run(
+        root, kind="sweep", config={"x": 1},
+        rows=[{"cell": "c", "values": {"v": 1.0}}], created_at=40.0,
+        status="complete",
+    )
+    assert main(["runs", "compare", str(root), reference.name,
+                 candidate.name]) == 0
+    capsys.readouterr()
+
+    # Rewrite the candidate in place, as a re-run or a resumed sweep does.
+    record = load_run_record(candidate)
+    record.status = "interrupted"
+    record.rows[0]["values"]["v"] = 2.0
+    write_run_record(candidate, record)
+
+    assert main(["runs", "list", str(root), "--status", "interrupted",
+                 "--json"]) == 0
+    [listed] = json.loads(capsys.readouterr().out)
+    assert listed["run_hash"] == record.run_hash()
+    assert main(["runs", "list", str(root), "--status", "complete",
+                 "--json"]) == 0
+    assert [run["path"] for run in json.loads(capsys.readouterr().out)] == [
+        str(reference)
+    ]
+    assert main(["runs", "compare", str(root), reference.name,
+                 candidate.name]) == 1
+    assert "2.0" in capsys.readouterr().out
+
+
+def test_deleted_run_dir_is_gone(tmp_path, capsys):
+    root = tmp_path / "runs"
+    keep = _bench_point(root, 1.0, 10.0)
+    gone = _bench_point(root, 2.0, 20.0)
+    shutil.rmtree(gone)
+
+    assert main(["runs", "list", str(root)]) == 0
+    out = capsys.readouterr().out
+    assert keep.name in out and gone.name not in out
+    assert main(["runs", "compare", str(root), keep.name, gone.name]) == 2
+    assert "no run matches" in capsys.readouterr().err
+
+
+def test_rewritten_baseline_run_is_a_usage_error(tmp_path, capsys):
+    root = tmp_path / "runs"
+    promoted = record_run(
+        root, kind="sweep", config={"x": 1},
+        rows=[{"cell": "c", "values": {"v": 1.0}}], created_at=30.0,
+    )
+    candidate = record_run(
+        root, kind="sweep", config={"x": 1},
+        rows=[{"cell": "c", "values": {"v": 1.0}}], created_at=40.0,
+    )
+    old_hash = load_run_record(promoted).run_hash()
+    assert main(["runs", "promote", str(root), promoted.name]) == 0
+    capsys.readouterr()
+
+    record = load_run_record(promoted)
+    record.status = "degraded"
+    write_run_record(promoted, record)
+
+    assert main(["runs", "compare", str(root), candidate.name]) == 2
+    err = capsys.readouterr().err
+    assert "baseline 'default'" in err and old_hash in err
+
+
+def test_bare_scalar_bench_runs_compare_their_value(tmp_path, capsys):
+    root = tmp_path / "runs"
+    fast = record_bench_run(root, "generate_cold_seconds", 1.25,
+                            created_at=10.0)
+    slow = record_bench_run(root, "generate_cold_seconds", 12.5,
+                            created_at=20.0)
+    assert main(["runs", "compare", str(root), fast.name, slow.name]) == 1
+    out = capsys.readouterr().out
+    assert "1 shared cells x 1 metrics" in out
+    assert "generate_cold_seconds" in out.split("\n", 1)[1]
 
 
 def test_registry_usage_errors_exit_2(tmp_path, capsys):
     root = tmp_path / "runs"
     _bench_point(root, 1.0, 10.0)
 
-    # No database yet: query-side verbs fail with a pointer to index.
-    assert main(["runs", "query", str(root)]) == 2
-    assert "runs index" in capsys.readouterr().err
-
-    assert main(["runs", "index", str(root)]) == 0
-    capsys.readouterr()
     assert main(["runs", "compare", str(root), "nope", "nada"]) == 2
-    assert "no indexed run" in capsys.readouterr().err
+    assert "no run matches" in capsys.readouterr().err
     assert main(["runs", "compare", str(root), "deadbeef"]) == 2
     assert "no baseline" in capsys.readouterr().err
     assert main(["runs", "trajectory", str(root), "unknown_bench"]) == 2
     assert "no bench runs" in capsys.readouterr().err
     assert main(["runs", "promote", str(root), "zzzz"]) == 2
+    capsys.readouterr()
+    # A registry.sqlite left by an older version is ignored, not deleted.
+    (root / "registry.sqlite").write_bytes(b"SQLite format 3\x00")
+    assert main(["runs", "list", str(root)]) == 0
+    assert "bench-" in capsys.readouterr().out
+    assert (root / "registry.sqlite").is_file()
+    # The index verbs and --db are gone.
+    for argv in (["runs", "index", str(root)], ["runs", "query", str(root)],
+                 ["runs", "list", str(root), "--db", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     capsys.readouterr()
 
 
@@ -143,10 +245,12 @@ def test_corrupt_record_dir_skips_and_warns(tmp_path, capsys):
     assert bad.name not in captured.out
     assert "warning" in captured.err and bad.name in captured.err
 
-    assert main(["runs", "index", str(root)]) == 0
+    assert main(["runs", "trajectory", str(root), "stackdist_sweep"]) == 0
     captured = capsys.readouterr()
-    assert "indexed 1 new" in captured.out
+    assert "1 runs" in captured.out
     assert bad.name in captured.err
+    assert main(["runs", "compare", str(root), bad.name, good.name]) == 2
+    assert "damaged" in capsys.readouterr().err
 
 
 def test_runs_list_is_deterministic_with_kind_column(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Acceptance: a real sweep's registry record reproduces its numbers.
 
-``sweep --run-dir`` writes ``run_record.json`` next to the PR-7
-artifacts; indexing the root and reading the cells back out of SQLite
-hands back the exact binary64/int values the checkpointed rows hold.
+``sweep --run-dir`` writes ``run_record.json``, its one checkpoint and
+registry record; scanning the root and reading the cells back hands
+back the exact binary64/int values the checkpointed rows hold, and
+``repro runs compare`` gates on those same values.
 """
 
 from __future__ import annotations
@@ -15,8 +16,12 @@ import pytest
 from repro.core.cli import main
 from repro.engine import SweepConfig, run_sweep
 from repro.engine.sweep import row_to_dict
-from repro.registry.index import DB_FILENAME, RegistryIndex
-from repro.registry.record import RECORD_FILENAME, cell_key, load_run_record
+from repro.registry.record import (
+    RECORD_FILENAME,
+    cell_key,
+    load_run_record,
+    scan_runs_root,
+)
 
 
 @pytest.fixture(scope="module")
@@ -62,17 +67,14 @@ def test_sweep_emits_v2_record(swept):
 def test_indexed_sweep_cells_bit_identical_and_cli_gate(swept, capsys):
     runs_root, result = swept
     run_dir = Path(result.run_path)
-    assert main(["runs", "index", str(runs_root)]) == 0
-    capsys.readouterr()
 
-    record = load_run_record(run_dir)
-    run_hash = record.run_hash()
-    with RegistryIndex.open(runs_root / DB_FILENAME) as index:
-        from_db = index.cells(run_hash)
+    [entry] = scan_runs_root(runs_root)
+    run_hash = entry["run_hash"]
+    cells = entry["record"].cells()
     payload = json.loads((run_dir / RECORD_FILENAME).read_text())
     for row in payload["rows"]:
         for metric, value in row["values"].items():
-            stored = from_db[row["cell"]][metric]
+            stored = cells[row["cell"]][metric]
             assert stored == value and type(stored) is type(value)
 
     # Self-compare through the CLI: bit-identical, exit 0.

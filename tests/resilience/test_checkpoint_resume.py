@@ -209,11 +209,10 @@ def test_rerun_without_resume_reports_its_own_status(
     ]
     assert line.split()[2:4] == ["interrupted", "1/4"]
 
-    assert main(["runs", "index", str(runs)]) == 0
-    capsys.readouterr()
-    assert main(["runs", "query", str(runs), "--status", "interrupted"]) == 0
-    out = capsys.readouterr().out
-    assert "Indexed runs (1)" in out and record.run_hash()[:12] in out
+    assert main(["runs", "list", str(runs), "--status", "interrupted",
+                 "--json"]) == 0
+    [listed] = json.loads(capsys.readouterr().out)
+    assert listed["run_hash"] == record.run_hash()
 
 
 def test_runs_cli_list_and_show(warm, tmp_path, capsys):

@@ -319,6 +319,10 @@ def _defective(chunk: EventBatch, tail: EventBatch, defect: str) -> EventBatch:
     elif defect == "negative-id":
         good = np.flatnonzero(columns["error"] == 0)
         columns["file_id"][good[len(good) // 2]] = -3
+    elif defect == "nan-time":
+        columns["time"][len(columns["time"]) // 2] = np.nan
+    elif defect == "inf-time":
+        columns["time"][-1] = np.inf
     return EventBatch(**columns)
 
 
@@ -326,7 +330,9 @@ class TestRefusedChunks:
     """A refused chunk changes nothing: not the journal, not the state,
     and a reopened session continues as if it had never been sent."""
 
-    @pytest.mark.parametrize("defect", ["before-tail", "unordered", "negative-id"])
+    @pytest.mark.parametrize("defect", [
+        "before-tail", "unordered", "negative-id", "nan-time", "inf-time",
+    ])
     def test_refused_chunk_leaves_no_trace(self, tmp_path, chunk_stream, defect):
         spec = _spec()
         journaled = JournaledSession.create(tmp_path / "s", spec,
@@ -362,6 +368,27 @@ class TestRefusedChunks:
         recovered = JournaledSession.open(tmp_path / "s")
         assert recovered.session.finalized
         assert recovered.finalize() == _full_stream(chunk_stream[:3], spec).finalize()
+
+    def test_finalized_session_reopens_sealed_without_snapshots(
+        self, tmp_path, chunk_stream
+    ):
+        """The seal lives in session.json too: a reopen that cannot load
+        any snapshot still finalizes, so the write-back queue is flushed
+        and further chunks are refused."""
+        spec = _spec()
+        journaled = JournaledSession.create(tmp_path / "s", spec)
+        for seq, chunk in enumerate(chunk_stream[:5]):
+            journaled.feed(chunk, seq)
+        final = journaled.finalize()
+        for snapshot in (tmp_path / "s").glob("snapshot-*"):
+            snapshot.unlink()
+
+        recovered = JournaledSession.open(tmp_path / "s")
+        assert recovered.session.finalized
+        assert recovered.session.metrics() == final
+        with pytest.raises(SessionError, match="finalized"):
+            recovered.feed(chunk_stream[5], 5)
+        assert recovered.journal.frame_count() == 5
 
     def test_undeduped_session_accepts_negative_ids(self, chunk_stream):
         """Only the dedupe keys on file ids; a raw replay takes any id."""
