@@ -4,8 +4,9 @@ Two gates on the dense study workload (the config ``repro report`` leans
 on hardest):
 
 * **cold write tax** -- generating *and persisting* the stream through
-  :func:`repro.engine.store.open_or_generate` costs at most 1.3x plain
-  generation (the store write is a thin ``np.save`` pass);
+  :func:`repro.engine.store.open_or_generate` costs at most 1.6x plain
+  generation (the store write is a thin ``np.save`` pass), read as the
+  median ratio of :data:`COLD_PAIRS` alternating pairs;
 * **warm reuse** -- a second ``open_or_generate`` plus the full columnar
   analysis pass off the memory-mapped shards runs >= 10x faster than
   regenerating and analyzing from scratch, which is the whole point of
@@ -18,6 +19,7 @@ land as a bench RunRecord in the runs root (``REPRO_RUNS_DIR``, default
 """
 
 import os
+import statistics
 import time
 
 import numpy as np
@@ -43,6 +45,12 @@ RELAXED = os.environ.get("REPRO_BENCH_RELAXED") == "1"
 
 #: The dense study workload (full-scale arrival density, short span).
 DENSE_CONFIG = StudyConfig.dense(scale=0.02, seed=42, days=14.62).workload
+
+#: Generate/cold-write pairs behind the cold gate.  One timing of each
+#: side read anywhere from 0.75x to 1.6x over a dozen runs; the median
+#: of five pairs rides out one slow phase, while a real regression
+#: moves every pair.
+COLD_PAIRS = 5
 
 
 @pytest.fixture(scope="module")
@@ -80,21 +88,28 @@ def _analyze(batches_factory):
 from conftest import dump_bench_timings as _dump_timings  # noqa: E402
 
 
-def test_store_cold_write_and_warm_reuse(cache_dir):
-    # Baseline: plain generation (what every invocation used to pay).
-    start = time.perf_counter()
-    trace = generate_trace(DENSE_CONFIG)
-    generate_seconds = time.perf_counter() - start
+def test_store_cold_write_and_warm_reuse(cache_dir, tmp_path):
+    # Cold write tax: plain generation (what every invocation used to
+    # pay) against generate + persist into an empty cache, alternating.
+    generate_times, cold_times = [], []
+    for pair in range(COLD_PAIRS):
+        start = time.perf_counter()
+        trace = generate_trace(DENSE_CONFIG)
+        generate_times.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        open_or_generate(DENSE_CONFIG, tmp_path / f"cold-{pair}")
+        cold_times.append(time.perf_counter() - start)
+    generate_seconds = statistics.median(generate_times)
+    cold_seconds = statistics.median(cold_times)
+    cold_ratio = statistics.median(
+        cold / gen for cold, gen in zip(cold_times, generate_times)
+    )
 
-    # Cold path: generate + persist through the content-addressed cache.
-    # With a CI-preseeded cache this measures a warm open instead, so the
-    # cold gate only applies when the slot was actually empty.
+    # The bench cache: CI may pre-seed it, so this open can be warm.
     from repro.engine.store import open_cached
 
     was_cached = open_cached(DENSE_CONFIG, cache_dir) is not None
-    start = time.perf_counter()
     store = open_or_generate(DENSE_CONFIG, cache_dir)
-    cold_seconds = time.perf_counter() - start
 
     # Bit-identity: the stored stream IS the generated stream.
     stored = store.batches()
@@ -122,11 +137,10 @@ def test_store_cold_write_and_warm_reuse(cache_dir):
     assert warm_numbers == fresh_numbers
 
     speedup = regen_seconds / warm_seconds if warm_seconds > 0 else float("inf")
-    cold_ratio = cold_seconds / generate_seconds if generate_seconds > 0 else 0.0
     print(
         f"\ngenerate {generate_seconds:.2f}s, cold open_or_generate "
-        f"{cold_seconds:.2f}s ({cold_ratio:.2f}x"
-        f"{', pre-cached' if was_cached else ''}), warm analyze "
+        f"{cold_seconds:.2f}s (median ratio of {COLD_PAIRS} pairs "
+        f"{cold_ratio:.2f}x), warm analyze "
         f"{warm_seconds:.2f}s vs regenerate-and-analyze {regen_seconds:.2f}s "
         f"= {speedup:.1f}x"
     )
@@ -143,15 +157,13 @@ def test_store_cold_write_and_warm_reuse(cache_dir):
     )
     if RELAXED:
         pytest.skip("REPRO_BENCH_RELAXED=1: timing gates skipped")
-    if not was_cached:
-        # The store write is a fixed absolute cost (np.save + sha256);
-        # generator v3 made the denominator ~3x cheaper, so the measured
-        # ratio moved from ~1.1x to 1.0-1.35x run to run.  1.6x still
-        # fails if persisting ever costs a meaningful fraction of
-        # generation again.
-        assert cold_ratio <= 1.6, (
-            f"cold store write cost {cold_ratio:.2f}x generation (limit 1.6x)"
-        )
+    # The store write is a fixed absolute cost (np.save + sha256);
+    # generator v3 made the denominator ~3x cheaper, so the measured
+    # ratio moved from ~1.1x to about 1.0x.  1.6x still fails if
+    # persisting ever costs a meaningful fraction of generation again.
+    assert cold_ratio <= 1.6, (
+        f"cold store write cost {cold_ratio:.2f}x generation (limit 1.6x)"
+    )
     # Generator v3 vectorized cold generation (~3x faster), which shrank
     # this gate's regeneration baseline: the warm path is unchanged but
     # its measured advantage compressed from ~13x to ~10-11x.  6x keeps

@@ -39,17 +39,9 @@ class DynamicSizeDistribution:
         """Fraction of read requests at or below a size."""
         return CDF.from_samples(self.read_sizes)
 
-    def files_written_cdf(self) -> CDF:
-        """Fraction of write requests at or below a size."""
-        return CDF.from_samples(self.write_sizes)
-
     def data_read_cdf(self) -> CDF:
         """Fraction of bytes read moved in files at or below a size."""
         return CDF.from_samples(self.read_sizes, weights=self.read_sizes)
-
-    def data_written_cdf(self) -> CDF:
-        """Fraction of bytes written moved in files at or below a size."""
-        return CDF.from_samples(self.write_sizes, weights=self.write_sizes)
 
     def fraction_requests_under(self, size_bytes: float) -> float:
         """All-request fraction at or below a size (paper: 40 % <= 1 MB)."""

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import json
 import os
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence
@@ -44,6 +43,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence
 import numpy as np
 
 from repro.chaos.plan import FaultPlan, delete_shard, truncate_shard
+from repro.util.durable import write_json
 from repro.verify.invariants import (
     ENABLE_ENV,
     QUARANTINE_ENV,
@@ -464,7 +464,7 @@ def write_report(report: Dict[str, Any], path: Path) -> Path:
     """Write the chaos report deterministically (sorted keys, no clock)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    write_json(path, report)
     return path
 
 

@@ -27,12 +27,12 @@ failing disk would, for self-healing-cache scenarios.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 from pathlib import Path
 from typing import Iterator, List, Optional
 
 from repro.engine.resilience import FAULT_PLAN_ENV
+from repro.util.durable import write_json
 
 PLAN_NAME = "fault-plan.json"
 
@@ -146,7 +146,7 @@ class FaultPlan:
     def write(self) -> Path:
         """Write the plan JSON; returns its path."""
         self.root.mkdir(parents=True, exist_ok=True)
-        self.plan_path.write_text(json.dumps({"rules": self.rules}))
+        write_json(self.plan_path, {"rules": self.rules})
         return self.plan_path
 
     def executed_labels(self) -> List[str]:

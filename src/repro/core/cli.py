@@ -918,17 +918,13 @@ def _cmd_session_ping(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_diff(args: argparse.Namespace) -> int:
-    import json
-
     from repro.verify.diff import run_differential
 
     report = run_differential(cases=args.cases, seed=args.seed)
     if args.output is not None:
-        from pathlib import Path
+        from repro.util.durable import write_json
 
-        Path(args.output).write_text(
-            json.dumps(report, indent=1, sort_keys=True) + "\n"
-        )
+        write_json(args.output, report)
     if getattr(args, "run_dir", None) is not None:
         from repro.registry import record_verify_run
 

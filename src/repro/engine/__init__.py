@@ -36,7 +36,6 @@ from repro.engine.resilience import (
     run_supervised,
     sigterm_as_interrupt,
     sweep_config_hash,
-    write_json_atomic,
 )
 from repro.engine.store import (
     StoreError,
@@ -106,5 +105,4 @@ __all__ = [
     "supports_policy",
     "sweep_config_hash",
     "sweep_stale_staging",
-    "write_json_atomic",
 ]

@@ -13,7 +13,8 @@ survivable:
   like worker count excluded, so a resume may use a different machine
   shape).  The record itself is written by :mod:`repro.engine.sweep`
   through the registry's :class:`~repro.registry.record.RunRecord`;
-  :func:`write_json_atomic` makes every rewrite all-or-nothing.
+  :func:`repro.util.durable.write_json` makes every rewrite
+  all-or-nothing and durable.
 
 * **Supervised workers.**  :func:`run_supervised` replaces a bare
   ``pool.map``: a bounded submission loop over a
@@ -44,7 +45,9 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence
+
+from repro.util.durable import content_hash
 
 #: Environment variable naming the JSON fault plan; unset = inert hooks.
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
@@ -466,30 +469,7 @@ def run_supervised(
 
 
 # ---------------------------------------------------------------------------
-# Atomic JSON and checkpoint addressing
-
-
-def _json_default(obj: Any) -> Any:
-    """Make numpy scalars (replay counters) JSON-serializable."""
-    item = getattr(obj, "item", None)
-    if callable(item):
-        return obj.item()
-    raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
-
-
-def write_json_atomic(path: Union[str, Path], payload: dict) -> None:
-    """Write a JSON document atomically (temp file + ``os.replace``).
-
-    Readers never observe a half-written file: they see either the old
-    content or the new one.  Shared by the run records and the service
-    layer's session metadata / shutdown summaries.
-    """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=True,
-                  default=_json_default)
-    os.replace(tmp, path)
+# Checkpoint addressing
 
 
 def sweep_config_hash(config: Any) -> str:
@@ -497,12 +477,8 @@ def sweep_config_hash(config: Any) -> str:
     every ``SweepConfig`` field except :data:`RUNTIME_FIELDS`."""
     import dataclasses
 
-    canon = json.dumps(
-        {
-            name: value
-            for name, value in dataclasses.asdict(config).items()
-            if name not in RUNTIME_FIELDS
-        },
-        sort_keys=True, separators=(",", ":"),
-    )
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+    return content_hash({
+        name: value
+        for name, value in dataclasses.asdict(config).items()
+        if name not in RUNTIME_FIELDS
+    })[:16]

@@ -43,6 +43,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Union
 import numpy as np
 
 from repro.engine.batch import DEFAULT_CHUNK_SIZE, EventBatch
+from repro.util.durable import content_hash, write_json
 
 #: On-disk format version; bump on any incompatible layout/manifest change.
 STORE_FORMAT_VERSION = 1
@@ -97,8 +98,7 @@ def config_hash(
         "variant": variant,
         "config": canonical_config(config),
     }
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:32]
+    return content_hash(payload)
 
 
 def store_dir_for(cache_dir: Union[str, Path], config, variant: str = "trace") -> Path:
@@ -135,8 +135,13 @@ class TraceStore:
         manifest_path = path / MANIFEST_NAME
         if not manifest_path.is_file():
             raise StoreError(f"no {MANIFEST_NAME} in {path}")
-        with open(manifest_path, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
+        try:
+            with open(manifest_path, "r", encoding="utf-8") as handle:
+                manifest = json.load(handle)
+        except (OSError, ValueError) as exc:
+            raise StoreError(f"unreadable {manifest_path}: {exc}") from exc
+        if not isinstance(manifest, dict):
+            raise StoreError(f"{manifest_path} is not a JSON object")
         if manifest.get("format") != STORE_MAGIC:
             raise StoreError(f"{path} is not a {STORE_MAGIC} directory")
         if manifest.get("format_version") != STORE_FORMAT_VERSION:
@@ -244,10 +249,7 @@ class TraceStore:
             "shards": shards,
             "meta": meta or {},
         }
-        tmp = path / (MANIFEST_NAME + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=1, sort_keys=True)
-        os.replace(tmp, path / MANIFEST_NAME)
+        write_json(path / MANIFEST_NAME, manifest)
         return cls(path, manifest)
 
     # ------------------------------------------------------------------
@@ -470,7 +472,7 @@ def open_cached(
         return None
     try:
         store = TraceStore.open(target)
-    except (StoreError, json.JSONDecodeError):
+    except StoreError:
         return None
     if store.manifest.get("config_hash") != config_hash(config, variant):
         return None

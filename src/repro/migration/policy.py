@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 
 @dataclass(slots=True)
@@ -92,10 +92,6 @@ class MigrationPolicy:
     def resident_count(self) -> int:
         """Number of resident files."""
         return len(self._resident)
-
-    def resident_metadata(self) -> Iterable[ResidentFile]:
-        """All resident file metadata (for scoring)."""
-        return self._resident.values()
 
     def metadata(self, file_id: int) -> ResidentFile:
         """Metadata for one resident file."""

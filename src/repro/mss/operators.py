@@ -80,8 +80,3 @@ class OperatorPool:
             done()
 
         self._staff.acquire(start)
-
-    @property
-    def mean_queue_wait(self) -> float:
-        """Average time fetch tasks waited for a free operator."""
-        return self._staff.mean_wait

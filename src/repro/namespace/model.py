@@ -9,9 +9,7 @@ and 12).  It is a plain in-memory structure: lists of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
-
-from repro.util.units import bytes_to_mb
+from typing import Dict, List, Optional
 
 
 @dataclass
@@ -40,11 +38,6 @@ class FileEntry:
     size: int
     dir_id: int
     sequence: int  # position among siblings, for sequential-read clustering
-
-    @property
-    def size_mb(self) -> float:
-        """Size in megabytes (reporting convenience)."""
-        return bytes_to_mb(self.size)
 
 
 class Namespace:
@@ -118,10 +111,6 @@ class Namespace:
             return self.files[file_id].path
         return f"/lost/req{-file_id:07d}.dat"
 
-    def directory_of(self, file_entry: FileEntry) -> DirectoryEntry:
-        """The directory containing a file."""
-        return self.directories[file_entry.dir_id]
-
     def sibling_after(self, file_entry: FileEntry) -> Optional[FileEntry]:
         """The next file in sequence within the same directory, if any.
 
@@ -187,10 +176,6 @@ class Namespace:
     def file_sizes(self) -> List[int]:
         """All file sizes in bytes (the Figure 11 sample)."""
         return [f.size for f in self.files]
-
-    def iter_files(self) -> Iterator[FileEntry]:
-        """Iterate files in id order."""
-        return iter(self.files)
 
     def validate(self) -> None:
         """Check structural invariants; raises ``ValueError`` on breakage."""

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Union
 
-from repro.engine.resilience import write_json_atomic
 from repro.registry.record import RegistryError, RunRecord, utcnow
+from repro.util.durable import write_json
 
 #: The named-baselines file inside a runs root.
 BASELINES_FILENAME = "baselines.json"
@@ -196,7 +196,7 @@ def promote(
     """Pin ``record`` as the named baseline; returns the new entry."""
     baselines = load_baselines(runs_root)
     baselines[name] = {"run_hash": record.run_hash(), "promoted_at": utcnow()}
-    write_json_atomic(Path(runs_root) / BASELINES_FILENAME, baselines)
+    write_json(Path(runs_root) / BASELINES_FILENAME, baselines)
     return baselines[name]
 
 

@@ -22,14 +22,13 @@ matter where it sits on disk.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.engine.resilience import write_json_atomic
+from repro.util.durable import content_hash, write_json
 
 #: ``format`` marker inside every v2 run record.
 RECORD_FORMAT = "repro-run-record"
@@ -47,11 +46,6 @@ _SCHEMA_FIELDS = frozenset({
     "format", "schema_version", "kind", "config", "config_hash", "rows",
     "metrics", "status", "created_at", "wall_seconds", "code_versions",
 })
-
-
-def canonical_json(payload: Any) -> str:
-    """Key-sorted, separator-stable JSON: the hashing wire format."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def default_code_versions() -> Dict[str, Any]:
@@ -143,10 +137,7 @@ class RunRecord:
         if not self.kind:
             raise ValueError("a RunRecord needs a kind")
         if self.config_hash is None:
-            canon = canonical_json(self.config)
-            self.config_hash = hashlib.sha256(
-                canon.encode("utf-8")
-            ).hexdigest()[:16]
+            self.config_hash = content_hash(self.config)[:16]
 
     def to_payload(self) -> Dict[str, Any]:
         """The serialized JSON form (schema fields + preserved extras)."""
@@ -169,8 +160,7 @@ class RunRecord:
 
     def run_hash(self) -> str:
         """Content address of this run: a digest of the full payload."""
-        canon = canonical_json(self.to_payload())
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+        return content_hash(self.to_payload())[:16]
 
     @classmethod
     def from_payload(
@@ -245,11 +235,11 @@ def sweep_rows_to_record_rows(
 def write_run_record(
     run_dir: Union[str, Path], record: RunRecord
 ) -> Path:
-    """Persist one record atomically; returns the record path."""
+    """Publish one record (atomic and durable); returns the record path."""
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     path = run_dir / RECORD_FILENAME
-    write_json_atomic(path, record.to_payload())
+    write_json(path, record.to_payload())
     record.path = str(run_dir)
     return path
 

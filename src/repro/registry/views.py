@@ -10,11 +10,11 @@ re-derived from whatever records the root then holds.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.registry.record import RegistryError, bench_metrics, scan_runs_root
+from repro.util.durable import write_json
 
 #: ``format`` marker of the regenerated BENCH view file.
 BENCH_VIEW_FORMAT = "repro-bench-view-v1"
@@ -180,8 +180,5 @@ def refresh_bench_view(
     derive the view, write it atomically.  Returns the written payload.
     """
     payload = bench_view_payload(scan_runs_root(runs_root), benchmark)
-    out_path = Path(out_path)
-    tmp = out_path.with_name(out_path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    tmp.replace(out_path)
+    write_json(out_path, payload)
     return payload

@@ -14,7 +14,6 @@ store holds and whose events map to which tenant.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Optional, Union
 
@@ -69,7 +68,7 @@ def open_scenario_store(
         return None
     try:
         store = TraceStore.open(target)
-    except (StoreError, json.JSONDecodeError):
+    except StoreError:
         return None
     meta = store.manifest.get("meta") or {}
     scenario = meta.get("scenario") or {}

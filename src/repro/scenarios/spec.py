@@ -13,7 +13,6 @@ the same scenario no matter how its components are listed.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,6 +20,7 @@ from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
+from repro.util.durable import content_hash
 from repro.util.rng import component_child_seeds
 from repro.util.units import HOUR
 from repro.workload.config import (
@@ -226,8 +226,7 @@ class ScenarioSpec:
             "generator_version": GENERATOR_VERSION,
             "spec": self.to_dict(),
         }
-        canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:32]
+        return content_hash(payload)
 
 
 def _component_from_dict(data: dict) -> ComponentSpec:

@@ -16,7 +16,9 @@ so every ingested chunk is made durable *before* it is applied:
   older journals are still read, so those sessions recover too.
 
 * **State snapshots** (``snapshot-<applied>.pkl``): a pickled session
-  state written atomically (temp file + ``os.replace``) every N chunks.
+  state published every N chunks through
+  :func:`repro.util.durable.write_atomic` (fsynced temp file, rename,
+  fsynced directory).
   Recovery loads the newest loadable snapshot and replays only the
   journal frames past it -- restart cost is bounded by the snapshot
   interval, not the session length.  The latest few snapshots are kept
@@ -42,6 +44,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.engine.batch import EventBatch
+from repro.util.durable import fsync_dir, write_atomic
 
 #: Frame magic: rolls with any incompatible frame-layout change.
 FRAME_MAGIC = b"RJC2"
@@ -171,17 +174,6 @@ def _decode_npz(payload: bytes) -> EventBatch:
 _FRAME_DECODERS = {FRAME_MAGIC: decode_batch, _NPZ_FRAME_MAGIC: _decode_npz}
 
 
-def write_bytes_atomic(path: Union[str, Path], payload: bytes) -> None:
-    """Write a file atomically (temp + fsync + rename), crash-safe."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-
-
 class SessionJournal:
     """The durable record of one session: chunk frames + snapshots."""
 
@@ -196,7 +188,12 @@ class SessionJournal:
 
     def _writer(self) -> io.BufferedWriter:
         if self._handle is None or self._handle.closed:
+            created = not self.journal_path.exists()
             self._handle = open(self.journal_path, "ab")
+            if created:
+                # Until the first snapshot, nothing else makes the new
+                # file's directory entry survive a host crash.
+                fsync_dir(self.session_dir)
         return self._handle
 
     def append(self, batch: EventBatch) -> int:
@@ -308,7 +305,7 @@ class SessionJournal:
             {"applied": applied, "state": state}, protocol=pickle.HIGHEST_PROTOCOL
         )
         path = self.session_dir / f"snapshot-{applied:010d}.pkl"
-        write_bytes_atomic(path, _digest(payload) + payload)
+        write_atomic(path, _digest(payload) + payload)
         for _, stale in self._snapshot_paths()[SNAPSHOTS_KEPT:]:
             try:
                 stale.unlink()

@@ -55,7 +55,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.engine.batch import EventBatch
-from repro.engine.resilience import write_json_atomic
 from repro.serve.journal import JournalError, decode_batch
 from repro.serve.session import (
     JournaledSession,
@@ -64,6 +63,7 @@ from repro.serve.session import (
     SessionSpec,
     SESSION_META_NAME,
 )
+from repro.util.durable import write_json
 
 SHUTDOWN_SUMMARY_NAME = "shutdown_summary.json"
 ENDPOINT_NAME = "serve.json"
@@ -381,7 +381,7 @@ class ReproService:
             "recovered_at_start": self.recovered,
             "written_at": time.time(),
         }
-        write_json_atomic(self.data_dir / SHUTDOWN_SUMMARY_NAME, summary)
+        write_json(self.data_dir / SHUTDOWN_SUMMARY_NAME, summary)
         return summary
 
 
@@ -545,7 +545,7 @@ def make_server(config: ServeConfig) -> Tuple[ServeHTTPServer, ReproService]:
     server = ServeHTTPServer((config.host, config.port), handler)
     # Record the live endpoint (port 0 resolves at bind time) so clients
     # and orchestrators can discover it from the data dir.
-    write_json_atomic(service.data_dir / ENDPOINT_NAME, {
+    write_json(service.data_dir / ENDPOINT_NAME, {
         "host": server.server_address[0],
         "port": server.server_address[1],
         "pid": os.getpid(),

@@ -28,11 +28,12 @@ import numpy as np
 
 from repro.analysis.accumulators import OverallAccumulator
 from repro.engine.batch import EventBatch
-from repro.engine.resilience import fault_point, write_json_atomic
+from repro.engine.resilience import fault_point
 from repro.engine.stream import BlockDeduper, prepare_batch
 from repro.hsm.manager import HSM, HSMConfig
 from repro.serve.journal import SessionJournal
 from repro.trace.record import Device
+from repro.util.durable import write_json
 from repro.util.units import DAY, HOUR
 from repro.verify.invariants import (
     check_journal_recovery,
@@ -431,7 +432,7 @@ class JournaledSession:
 
     def _write_meta(self) -> None:
         """(Re)write ``session.json``: the spec, and whether it is sealed."""
-        write_json_atomic(self.session_dir / SESSION_META_NAME, {
+        write_json(self.session_dir / SESSION_META_NAME, {
             "format": SESSION_MAGIC,
             "snapshot_every": self.snapshot_every,
             "spec": self.spec.to_dict(),

@@ -75,10 +75,6 @@ class CDF:
         """The distribution median."""
         return self.percentile(0.5)
 
-    def sample_points(self) -> List[Tuple[float, float]]:
-        """(value, cumulative fraction) pairs, for rendering."""
-        return list(zip(self.values.tolist(), self.fractions.tolist()))
-
 
 @dataclass
 class StreamingMoments:

@@ -31,6 +31,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from repro.util.durable import write_json
 from repro.verify.invariants import (
     ENABLE_ENV,
     QUARANTINE_ENV,
@@ -226,7 +227,7 @@ def _realign_fault_plan(bundle: Path, meta: Dict[str, Any]) -> Optional[Path]:
             rule = dict(rule, match=f"batch:{shifted}")
         rules.append(rule)
     replay_path = bundle / "fault-plan.replay.json"
-    replay_path.write_text(json.dumps({"rules": rules}))
+    write_json(replay_path, {"rules": rules})
     return replay_path
 
 

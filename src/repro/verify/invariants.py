@@ -53,6 +53,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.util.durable import write_atomic, write_json
+
 #: Enables runtime invariant checking ("1"/"true"/"yes"/"on").
 ENABLE_ENV = "REPRO_CHECK_INVARIANTS"
 
@@ -180,8 +182,7 @@ def _bundled_fault_plan(bundle_dir: Path) -> Optional[str]:
             if key in rule:
                 rule[key] = str(bundle_dir / f"replay-{key}-{index}")
     out = bundle_dir / "fault-plan.json"
-    with open(out, "w", encoding="utf-8") as handle:
-        json.dump(plan, handle, indent=1, sort_keys=True)
+    write_json(out, plan)
     return out.name
 
 
@@ -214,7 +215,7 @@ def write_quarantine_bundle(
         names: List[str] = []
         for index, batch in enumerate(window):
             name = f"window-{index}.chunk"
-            (bundle_dir / name).write_bytes(encode_batch(batch))
+            write_atomic(bundle_dir / name, encode_batch(batch))
             names.append(name)
         plan_name = _bundled_fault_plan(bundle_dir)
         payload = {
@@ -229,8 +230,11 @@ def write_quarantine_bundle(
             "window_start": window_start,
             "fault_plan": plan_name,
         }
-        with open(bundle_dir / "violation.json", "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True, default=str)
+        # default=str, not write_json: details may hold any object, and
+        # reporting a violation must not fail on one.
+        write_atomic(bundle_dir / "violation.json", json.dumps(
+            payload, indent=1, sort_keys=True, default=str
+        ).encode("utf-8"))
     except OSError:
         return None
     return bundle_dir

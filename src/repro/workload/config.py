@@ -28,10 +28,6 @@ class BurstConfig:
     follower_gap_mean: float = 1500.0  # seconds; well inside the 8 h window
     follower_gap_cap: float = 7.9 * HOUR
 
-    def extra_mean(self, is_write: bool) -> float:
-        """Mean number of burst followers for one deduped event."""
-        return self.write_extra_mean if is_write else self.read_extra_mean
-
 
 @dataclass(frozen=True)
 class SessionConfig:

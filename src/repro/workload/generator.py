@@ -53,7 +53,6 @@ from repro.workload.profiler import StageProfiler
 from repro.workload.users import OWNER_READ_PROBABILITY, UserPopulation
 
 _DEVICE_INDEX = DEVICE_INDEX
-_INDEX_DEVICE = {i: device for device, i in _DEVICE_INDEX.items()}
 
 #: Version of the generation pipeline.  Part of every trace-store cache
 #: key: bump it whenever a change alters the stream a fixed
@@ -95,10 +94,6 @@ class SyntheticTrace:
     def n_events(self) -> int:
         """Total raw references including errors."""
         return int(self.times.size)
-
-    def device_of(self, index: int) -> Device:
-        """Storage device of one event."""
-        return _INDEX_DEVICE[int(self.device_idx[index])]
 
     def path_of(self, index: int) -> str:
         """MSS path of one event (synthesized for never-existed files)."""

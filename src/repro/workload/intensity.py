@@ -87,11 +87,6 @@ class IntensityModel:
         factor *= self.trend.holiday_factor(holiday)
         return float(factor)
 
-    def hour_weights_for_day(self, sim_time: float) -> np.ndarray:
-        """Conditional hour-of-day probabilities for the day containing
-        ``sim_time`` (includes the Monday-morning maintenance window)."""
-        return self._dow_hour_probabilities(self.calendar.day_of_week(sim_time))
-
     def hour_probabilities_for_dow(self, dow: int) -> np.ndarray:
         """Conditional hour-of-day probabilities for one day of week."""
         if not 0 <= dow <= 6:
@@ -138,11 +133,6 @@ class IntensityModel:
     def hour_weights(self) -> np.ndarray:
         """Copy of the full per-hour weight vector."""
         return self._hour_weights.copy()
-
-    def max_day_factor(self) -> float:
-        """Largest day-level factor over the trace (acceptance normalizer)."""
-        factors = [self.day_factor(day * DAY) for day in range(self._n_days)]
-        return max(factors)
 
 
 class IntensityPair:

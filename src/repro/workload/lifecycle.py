@@ -83,16 +83,6 @@ class LifecycleSample:
         """Population size."""
         return int(self.archetypes.size)
 
-    @property
-    def total_reads(self) -> int:
-        """Total deduped read events."""
-        return int(self.read_counts.sum())
-
-    @property
-    def total_writes(self) -> int:
-        """Total deduped write events."""
-        return int(self.write_counts.sum())
-
 
 def _heavy_tail_pmf() -> np.ndarray:
     """PMF of the truncated discrete-Pareto read tail."""

@@ -380,3 +380,21 @@ def test_trace_verify_cli_exit_codes(tmp_path, capsys):
     shard.unlink()
     assert main(["trace", "verify", str(tmp_path / "s")]) == 1
     assert "missing shard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["info", "verify"])
+@pytest.mark.parametrize("damage", ["torn", "not-an-object"])
+def test_trace_cli_reports_unreadable_manifest(tmp_path, capsys, command, damage):
+    """A torn or non-object manifest is one error line, not a traceback."""
+    from repro.core.cli import main
+
+    slot = store_dir_for(tmp_path, NCAR_TEST_CONFIG)
+    TraceStore.write(slot, [small_batch()], config=NCAR_TEST_CONFIG)
+    manifest = slot / "manifest.json"
+    text = manifest.read_text()
+    manifest.write_text(text[: len(text) // 2] if damage == "torn" else "[]")
+    assert main(["trace", command, str(slot)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"trace {command}: ") and len(err.splitlines()) == 1
+    # The cache treats the same damage as a miss.
+    assert open_cached(NCAR_TEST_CONFIG, tmp_path) is None
