@@ -15,12 +15,21 @@ read the saved bench output) to see the tables.
 from __future__ import annotations
 
 import os
+import sys
 
 import pytest
 
 from repro.core.experiments import ExperimentResult
 from repro.core.study import Study, StudyConfig
 from repro.workload.config import WorkloadConfig
+
+# The reference implementations live in ``tests/oracles``.  This
+# directory is not a package, so plain ``pytest`` puts only it on
+# ``sys.path``; add the repository root so ``import tests.oracles`` works
+# under ``pytest`` and ``python -m pytest`` alike.
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if REPO_ROOT not in sys.path:
+    sys.path.insert(0, REPO_ROOT)
 
 
 def bench_runs_root() -> str:

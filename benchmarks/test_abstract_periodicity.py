@@ -2,7 +2,7 @@
 
 from conftest import report
 
-from repro.analysis import analyze_direction
+from repro.analysis import analyze_direction_from_batches
 from repro.core.experiments import run_experiment
 
 
@@ -14,8 +14,12 @@ def test_abstract_periodicity(benchmark, bench_study):
 
 
 def test_period_strengths(bench_study):
-    reads = analyze_direction(bench_study.good_records(), direction=False)
-    writes = analyze_direction(bench_study.good_records(), direction=True)
+    reads = analyze_direction_from_batches(
+        bench_study.iter_batches("good"), direction=False
+    )
+    writes = analyze_direction_from_batches(
+        bench_study.iter_batches("good"), direction=True
+    )
     print(f"\nreads:  acf(24h)={reads.daily_autocorrelation:.3f} "
           f"acf(168h)={reads.weekly_autocorrelation:.3f} "
           f"top periods {[round(p) for p, _ in reads.top_periods_hours[:3]]}")

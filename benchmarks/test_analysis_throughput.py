@@ -2,7 +2,8 @@
 
 Times the full figure/table analysis pass over one trace along both
 paths -- the legacy route (materialize ``TraceRecord`` objects through
-the adapter, then run every record-based analysis) and the columnar
+the adapter, then run every record walk in ``tests.oracles.analysis``)
+and the columnar
 route (stream ``EventBatch`` chunks through the ``*_from_batches``
 reductions) -- checks they produce the same numbers, and gates the
 columnar path at >= 5x.
@@ -14,37 +15,34 @@ import time
 import pytest
 
 from repro.analysis.intervals import (
-    file_interreference,
     file_interreference_from_batches,
-    system_interarrivals,
     system_interarrivals_from_batches,
 )
-from repro.analysis.overall import (
-    overall_statistics,
-    overall_statistics_from_batches,
-)
-from repro.analysis.periodicity import rate_series, rate_series_from_batches
+from repro.analysis.overall import overall_statistics_from_batches
+from repro.analysis.periodicity import rate_series_from_batches
 from repro.analysis.rates import (
-    hourly_profile,
     hourly_profile_from_batches,
-    secular_series,
     secular_series_from_batches,
-    weekly_profile,
     weekly_profile_from_batches,
 )
-from repro.analysis.refcounts import (
-    reference_counts,
-    reference_counts_from_batches,
-)
-from repro.analysis.sizes import (
-    dynamic_distribution,
-    dynamic_distribution_from_batches,
-)
+from repro.analysis.refcounts import reference_counts_from_batches
+from repro.analysis.sizes import dynamic_distribution_from_batches
 from repro.engine.records import records_from_batches
 from repro.engine.stream import dedupe_blocks, strip_errors
-from repro.trace.filters import dedupe_for_file_analysis
 from repro.workload.config import WorkloadConfig
 from repro.workload.generator import generate_trace
+from tests.oracles.analysis import (
+    dynamic_distribution,
+    file_interreference,
+    hourly_profile,
+    overall_statistics,
+    rate_series,
+    reference_counts,
+    secular_series,
+    system_interarrivals,
+    weekly_profile,
+)
+from tests.oracles.records import dedupe_for_file_analysis
 
 #: CI runners have noisy wall-clocks; REPRO_BENCH_RELAXED=1 keeps the
 #: benchmark running (and the number-identity check enforced) but skips

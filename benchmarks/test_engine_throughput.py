@@ -1,9 +1,10 @@
 """Engine micro-benchmark: batch replay vs the old per-record loop.
 
 Measures events/sec from a generated trace to HSM metrics along both
-paths -- the legacy record walk (``events_from_trace`` + per-tuple
-``HSM.run``) and the columnar engine (``prepare_stream`` + batch
-``HSM.replay``) -- and gates the engine at >= 5x.
+paths -- the record walk kept as the tests' oracle (``events_from_trace``
++ the per-tuple ``EventHSM.run``) and the columnar engine
+(``prepare_stream`` + batch ``HSM.replay``) -- and gates the engine at
+>= 5x.
 """
 
 import dataclasses
@@ -18,10 +19,11 @@ import pytest
 RELAXED = os.environ.get("REPRO_BENCH_RELAXED") == "1"
 
 from repro.engine import prepare_stream, replay_policy
-from repro.hsm.manager import HSM, HSMConfig, events_from_trace
+from repro.hsm.manager import HSMConfig
 from repro.migration.registry import make_policy
 from repro.workload.config import WorkloadConfig
 from repro.workload.generator import generate_trace
+from tests.oracles.hsm import EventHSM, events_from_trace
 
 SCALE = 0.05
 CAPACITY_FRACTION = 0.05
@@ -48,9 +50,9 @@ def test_batch_replay_is_5x_faster_than_record_loop(throughput_trace):
     capacity = int(trace.namespace.total_bytes * CAPACITY_FRACTION)
 
     legacy_seconds, legacy_metrics = _best_of(
-        lambda: HSM(HSMConfig.with_capacity(capacity), make_policy(POLICY)).run(
-            events_from_trace(trace)
-        )
+        lambda: EventHSM(
+            HSMConfig.with_capacity(capacity), make_policy(POLICY)
+        ).run(events_from_trace(trace))
     )
     engine_seconds, engine_metrics = _best_of(
         lambda: replay_policy(prepare_stream(trace), POLICY, capacity)

@@ -2,7 +2,7 @@
 
 from conftest import report
 
-from repro.analysis import dynamic_distribution
+from repro.analysis import dynamic_distribution_from_batches
 from repro.core.experiments import run_experiment
 from repro.util.units import MB
 
@@ -15,7 +15,7 @@ def test_fig10_dynamic_sizes(benchmark, bench_study):
 
 
 def test_fig10_curve_anchors(bench_study):
-    dist = dynamic_distribution(bench_study.good_records())
+    dist = dynamic_distribution_from_batches(bench_study.iter_batches("good"))
     files_read = dist.files_read_cdf()
     data_read = dist.data_read_cdf()
     # 40 % of requests at or below 1 MB, but that is ~no data.

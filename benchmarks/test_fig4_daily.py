@@ -2,7 +2,7 @@
 
 from conftest import report
 
-from repro.analysis import hourly_profile
+from repro.analysis import hourly_profile_from_batches
 from repro.core.experiments import run_experiment
 
 
@@ -14,7 +14,7 @@ def test_fig4_daily(benchmark, bench_study):
 
 
 def test_fig4_shape_details(bench_study):
-    profile = hourly_profile(bench_study.good_records())
+    profile = hourly_profile_from_batches(bench_study.iter_batches("good"))
     reads = profile.read_gb_per_hour
     writes = profile.write_gb_per_hour
     # "The amount of data read jumps greatly at 8 AM."

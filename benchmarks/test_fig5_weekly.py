@@ -2,7 +2,7 @@
 
 from conftest import report
 
-from repro.analysis import weekly_profile
+from repro.analysis import weekly_profile_from_batches
 from repro.core.experiments import run_experiment
 from repro.util.timeutil import MONDAY, SATURDAY, SUNDAY
 
@@ -15,7 +15,7 @@ def test_fig5_weekly(benchmark, bench_study):
 
 
 def test_fig5_shape_details(bench_study):
-    profile = weekly_profile(bench_study.good_records())
+    profile = weekly_profile_from_batches(bench_study.iter_batches("good"))
     reads = profile.read_gb_per_hour
     writes = profile.write_gb_per_hour
     weekdays = reads[1:6]

@@ -2,7 +2,7 @@
 
 from conftest import report
 
-from repro.analysis import holiday_read_dip, secular_series
+from repro.analysis import holiday_read_dip, secular_series_from_batches
 from repro.core.experiments import run_experiment
 from repro.util.timeutil import TraceCalendar
 
@@ -15,7 +15,7 @@ def test_fig6_longterm(benchmark, bench_study):
 
 
 def test_fig6_shape_details(bench_study):
-    profile = secular_series(bench_study.good_records())
+    profile = secular_series_from_batches(bench_study.iter_batches("good"))
     calendar = TraceCalendar()
     reads = profile.read_gb_per_hour
     writes = profile.write_gb_per_hour

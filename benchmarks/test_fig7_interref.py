@@ -2,12 +2,12 @@
 
 from conftest import report
 
-from repro.analysis import system_interarrivals
+from repro.analysis import system_interarrivals_from_batches
 from repro.core.experiments import run_experiment
 
 
 def test_fig7_interarrivals(benchmark, dense_study):
-    dense_study.records()  # settle the DES replay outside timing
+    dense_study.mss_metrics  # settle the DES replay outside timing
     result = benchmark.pedantic(
         run_experiment, args=("F7", dense_study), rounds=1, iterations=1
     )
@@ -21,7 +21,7 @@ def test_fig7_interarrivals(benchmark, dense_study):
 
 
 def test_fig7_distribution_shape(dense_study):
-    analysis = system_interarrivals(dense_study.records())
+    analysis = system_interarrivals_from_batches(dense_study.iter_batches("raw"))
     cdf = analysis.cdf()
     # Heavily front-loaded: most mass at seconds scale, visible tail.
     # (The dense study measures ~0.27 under a second; the sub-second

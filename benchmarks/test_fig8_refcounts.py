@@ -2,7 +2,7 @@
 
 from conftest import report
 
-from repro.analysis import reference_counts
+from repro.analysis import reference_counts_from_batches
 from repro.core.experiments import run_experiment
 
 
@@ -28,7 +28,7 @@ def test_fig8_refcounts(benchmark, bench_study):
 
 
 def test_fig8_cdf_anchors(bench_study):
-    counts = reference_counts(bench_study.deduped_records())
+    counts = reference_counts_from_batches(bench_study.iter_batches("deduped"))
     total_cdf = counts.cdf("total")
     # Figure 8's curve: ~57 % at one reference, ~95 % by ten.
     assert total_cdf.fraction_at_or_below(1) > 0.5

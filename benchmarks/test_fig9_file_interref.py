@@ -2,7 +2,7 @@
 
 from conftest import report
 
-from repro.analysis import file_interreference
+from repro.analysis import file_interreference_from_batches
 from repro.core.experiments import run_experiment
 from repro.util.units import DAY
 
@@ -21,7 +21,7 @@ def test_fig9_file_interreference(benchmark, bench_study):
 
 
 def test_fig9_tail_shape(bench_study):
-    analysis = file_interreference(list(bench_study.deduped_records()))
+    analysis = file_interreference_from_batches(bench_study.iter_batches("deduped"))
     # Sharp drop-off after the first days, long tail past months.
     assert analysis.fraction_below(3 * DAY) > 0.6
     assert analysis.fraction_below(30 * DAY) > 0.8

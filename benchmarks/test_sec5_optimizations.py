@@ -21,7 +21,7 @@ from repro.util.units import MB
 
 
 def test_cutthrough_benefit(benchmark, bench_study):
-    records = bench_study.records()
+    records = bench_study.trace.records()
 
     report = benchmark.pedantic(
         evaluate_cutthrough, args=(records,), rounds=1, iterations=1

@@ -8,7 +8,7 @@ Miller & Katz trace.
 """
 
 from repro import WorkloadConfig, generate_trace
-from repro.analysis import overall_statistics
+from repro.analysis import overall_statistics_from_batches
 
 
 def main() -> None:
@@ -17,7 +17,7 @@ def main() -> None:
     trace = generate_trace(config)
     print(f"-> {trace.n_events} MSS references\n")
 
-    analysis = overall_statistics(trace.iter_records())
+    analysis = overall_statistics_from_batches(trace.iter_batches())
     print(analysis.render())
     print()
     print(analysis.comparison().render())

@@ -8,8 +8,8 @@ Quickstart::
 
     from repro import generate_trace, WorkloadConfig
     trace = generate_trace(WorkloadConfig(scale=0.01, seed=1))
-    from repro.analysis import overall_statistics
-    table = overall_statistics(trace.iter_records())
+    from repro.analysis import overall_statistics_from_batches
+    table = overall_statistics_from_batches(trace.iter_batches())
     print(table.render())
 """
 

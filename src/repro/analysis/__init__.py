@@ -1,11 +1,10 @@
 """Analyses that regenerate every table and figure in the paper.
 
-Every stream-consuming analysis has two entry points: the legacy
-record-based function (kept as a compatibility API for external
-callers) and a ``*_from_batches`` variant that reduces columnar
+Every stream-consuming analysis has one entry point, a
+``*_from_batches`` function that reduces columnar
 :class:`~repro.engine.batch.EventBatch` streams in one vectorized pass
-(see :mod:`repro.analysis.accumulators`).  The figure/table experiment
-path uses only the batch variants.
+(see :mod:`repro.analysis.accumulators`).  An ASCII trace file reaches
+them through :func:`repro.trace.store.batches_from_records`.
 """
 
 from repro.analysis import accumulators
@@ -17,31 +16,23 @@ from repro.analysis.filestore import (
 )
 from repro.analysis.intervals import (
     IntervalAnalysis,
-    file_interreference,
     file_interreference_from_batches,
-    fraction_of_file_gaps_under_one_day,
-    system_interarrivals,
     system_interarrivals_from_batches,
 )
 from repro.analysis.latency import (
     LatencyDistributions,
     decomposition_comparison,
     from_metrics,
-    latency_distributions,
     latency_distributions_from_batches,
 )
 from repro.analysis.overall import (
     OverallStatistics,
-    overall_statistics,
     overall_statistics_from_batches,
 )
 from repro.analysis.periodicity import (
     PeriodicityReport,
-    analyze_direction,
     analyze_direction_from_batches,
-    periodicity_comparison,
     periodicity_comparison_from_batches,
-    rate_series,
     rate_series_from_batches,
 )
 from repro.analysis.tenants import (
@@ -51,20 +42,16 @@ from repro.analysis.tenants import (
 from repro.analysis.rates import (
     RateProfile,
     holiday_read_dip,
-    hourly_profile,
     hourly_profile_from_batches,
     read_growth_factor,
-    secular_series,
     secular_series_from_batches,
     weekend_read_dip,
-    weekly_profile,
     weekly_profile_from_batches,
     working_hours_lift,
     write_flatness,
 )
 from repro.analysis.refcounts import (
     ReferenceCounts,
-    reference_counts,
     reference_counts_from_batches,
 )
 from repro.analysis.render import TextTable, render_cdf, render_series
@@ -73,7 +60,6 @@ from repro.analysis.sizes import (
     DynamicSizeDistribution,
     StaticSizeDistribution,
     directory_distribution,
-    dynamic_distribution,
     dynamic_distribution_from_batches,
     static_distribution,
 )
@@ -106,44 +92,32 @@ __all__ = [
     "ReferenceCounts",
     "StaticSizeDistribution",
     "TextTable",
-    "analyze_direction",
     "analyze_direction_from_batches",
     "crossover_size",
     "decomposition_comparison",
     "directory_distribution",
-    "dynamic_distribution",
     "dynamic_distribution_from_batches",
-    "file_interreference",
     "file_interreference_from_batches",
     "filestore_statistics",
-    "fraction_of_file_gaps_under_one_day",
     "from_metrics",
     "holiday_read_dip",
-    "hourly_profile",
     "hourly_profile_from_batches",
-    "latency_distributions",
     "latency_distributions_from_batches",
     "measured_media_behaviour",
     "media_comparison_table",
-    "overall_statistics",
     "overall_statistics_from_batches",
-    "periodicity_comparison",
     "periodicity_comparison_from_batches",
     "pyramid_is_consistent",
     "pyramid_table",
-    "rate_series",
     "rate_series_from_batches",
     "read_growth_factor",
-    "reference_counts",
     "reference_counts_from_batches",
     "referenced_share",
     "render_cdf",
     "render_series",
-    "secular_series",
     "secular_series_from_batches",
     "static_distribution",
     "storage_pyramid",
-    "system_interarrivals",
     "system_interarrivals_from_batches",
     "TenantBreakdown",
     "tenant_breakdown_from_batches",
@@ -151,7 +125,6 @@ __all__ = [
     "trace_format_table",
     "verbose_log_sample",
     "weekend_read_dip",
-    "weekly_profile",
     "weekly_profile_from_batches",
     "working_hours_lift",
     "write_flatness",

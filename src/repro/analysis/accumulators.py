@@ -2,17 +2,17 @@
 
 Every figure and table that consumes the reference stream reduces it to
 a handful of histograms, sample vectors, or per-cell moments.  The
-record-based analysis functions do that one Python object at a time;
-the helpers here do the same reductions column-at-a-time, so a
-multi-month trace is analyzed at memory bandwidth instead of at
-``TraceRecord.__init__`` speed.
+helpers here do those reductions column-at-a-time, so a multi-month
+trace is analyzed at memory bandwidth instead of one
+:class:`~repro.trace.record.TraceRecord` at a time.
 
 Each helper consumes an iterable of batches in stream order and matches
-its record-based counterpart number for number: integer reductions
-(counts, byte totals, sample vectors, gaps) are bit-identical because
-the same values are combined in the same order; floating means computed
-with numpy instead of Welford updates agree to rounding error (~1e-15
-relative), far below any rendered precision.
+a record-at-a-time walk number for number (the tests keep those walks as
+oracles): integer reductions (counts, byte totals, sample vectors, gaps)
+are bit-identical because the same values are combined in the same
+order; floating means computed with numpy instead of Welford updates
+agree to rounding error (~1e-15 relative), far below any rendered
+precision.
 
 The analysis modules re-export these as ``*_from_batches`` entry
 points; this module holds only the reductions, no figure dataclasses.
@@ -95,8 +95,7 @@ def binned_byte_series(
 ) -> np.ndarray:
     """Bytes moved per fixed-width time bin (the periodicity series).
 
-    ``direction`` is ``None`` for both, else ``is_write``; mirrors
-    :func:`repro.analysis.periodicity.rate_series`.  Streams batch by
+    ``direction`` is ``None`` for both, else ``is_write``.  Streams batch by
     batch with O(n_bins) state: the bin array grows as the horizon
     advances instead of buffering the whole filtered stream.
     """

@@ -9,15 +9,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from repro.analysis import accumulators
 from repro.analysis.render import render_cdf
-from repro.trace.record import TraceRecord
 from repro.util.stats import CDF
-from repro.util.units import DAY
 
 if TYPE_CHECKING:
     from repro.engine.batch import EventBatch
@@ -52,43 +50,6 @@ class IntervalAnalysis:
         return render_cdf(scaled, log_x=True, x_label=unit, title=title)
 
 
-def system_interarrivals(records: Iterable[TraceRecord]) -> IntervalAnalysis:
-    """Figure 7: gaps between consecutive request start times."""
-    times = [r.start_time for r in records]
-    if len(times) < 2:
-        raise ValueError("need at least two records")
-    arr = np.asarray(times)
-    gaps = np.diff(arr)
-    if np.any(gaps < 0):
-        raise ValueError("records must be time-ordered")
-    return IntervalAnalysis(intervals=gaps)
-
-
-def file_interreference(records: Iterable[TraceRecord]) -> IntervalAnalysis:
-    """Figure 9: per-file gaps on an already-deduped stream."""
-    by_file: Dict[str, List[float]] = {}
-    for record in records:
-        by_file.setdefault(record.mss_path, []).append(record.start_time)
-    gaps: List[float] = []
-    for times in by_file.values():
-        if len(times) < 2:
-            continue
-        times.sort()
-        gaps.extend(float(b - a) for a, b in zip(times, times[1:]))
-    if not gaps:
-        raise ValueError("no file was referenced twice")
-    return IntervalAnalysis(intervals=np.asarray(gaps))
-
-
-def fraction_of_file_gaps_under_one_day(records: Iterable[TraceRecord]) -> float:
-    """The Figure 9 headline number."""
-    return file_interreference(records).fraction_below(DAY)
-
-
-# ---------------------------------------------------------------------------
-# Columnar entry points (the figure/table path)
-
-
 def system_interarrivals_from_batches(
     batches: Iterable["EventBatch"],
 ) -> IntervalAnalysis:
@@ -103,7 +64,7 @@ def file_interreference_from_batches(
 ) -> IntervalAnalysis:
     """Figure 9 from an (already deduped) batch stream.
 
-    One stable sort groups the stream by file; the record path's
-    per-path dict walk is reproduced gap for gap.
+    One stable sort groups the stream by file; the gaps are those of a
+    per-path dict walk, gap for gap.
     """
     return IntervalAnalysis(intervals=accumulators.per_file_gaps(batches))

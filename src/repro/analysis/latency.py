@@ -20,7 +20,7 @@ from repro.analysis.compare import Comparison
 from repro.analysis.render import render_cdf
 from repro.core import paper
 from repro.mss.metrics import MetricsCollector
-from repro.trace.record import Device, TraceRecord
+from repro.trace.record import Device
 from repro.util.stats import CDF
 
 if TYPE_CHECKING:
@@ -107,21 +107,6 @@ class LatencyDistributions:
             self.silo_vs_manual_speedup(),
         )
         return comp
-
-
-def latency_distributions(records: Iterable[TraceRecord]) -> LatencyDistributions:
-    """Collect Figure 3 samples from records carrying latencies."""
-    buckets: Dict[Device, List[float]] = {d: [] for d in Device.storage_devices()}
-    for record in records:
-        if record.is_error:
-            continue
-        buckets[record.storage_device].append(record.startup_latency)
-    samples = {}
-    for device, values in buckets.items():
-        if not values:
-            raise ValueError(f"no successful references to {device}")
-        samples[device] = np.asarray(values)
-    return LatencyDistributions(samples=samples)
 
 
 def latency_distributions_from_batches(

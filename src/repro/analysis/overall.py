@@ -15,7 +15,7 @@ from repro.analysis import accumulators
 from repro.analysis.compare import Comparison
 from repro.analysis.render import TextTable
 from repro.core import paper
-from repro.trace.record import Device, TraceRecord
+from repro.trace.record import Device
 from repro.trace.stats import TraceStatistics
 
 if TYPE_CHECKING:
@@ -142,19 +142,13 @@ class OverallStatistics:
         return comp
 
 
-def overall_statistics(records: Iterable[TraceRecord]) -> OverallStatistics:
-    """Accumulate Table 3 from a raw record stream (errors included)."""
-    stats = TraceStatistics().add_all(records)
-    return OverallStatistics(stats)
-
-
 def overall_statistics_from_batches(
     batches: Iterable["EventBatch"],
 ) -> OverallStatistics:
     """Table 3 from a raw batch stream (errors included).
 
     Whole-column reductions per (device, direction) cell; counts and
-    byte totals are bit-identical to the record walk, means agree to
+    byte totals are bit-identical to a record walk, means agree to
     numerical rounding (numpy vs Welford accumulation order).
     """
     stats = accumulators.OverallAccumulator().add_all(batches).statistics()

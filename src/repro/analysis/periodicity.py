@@ -17,40 +17,11 @@ import numpy as np
 
 from repro.analysis import accumulators
 from repro.analysis.compare import Comparison
-from repro.trace.record import TraceRecord
 from repro.util.stats import autocorrelation, dominant_periods
 from repro.util.units import DAY, HOUR, WEEK
 
 if TYPE_CHECKING:
     from repro.engine.batch import EventBatch
-
-
-def rate_series(
-    records: Iterable[TraceRecord],
-    bin_seconds: float = HOUR,
-    direction: Optional[bool] = None,
-    span_seconds: Optional[float] = None,
-) -> np.ndarray:
-    """Bytes moved per bin; ``direction`` None = both, else is_write."""
-    totals: List[float] = []
-    horizon = 0.0
-    buffered = []
-    for record in records:
-        if record.is_error:
-            continue
-        if direction is not None and record.is_write != direction:
-            continue
-        buffered.append((record.start_time, record.file_size))
-        horizon = max(horizon, record.start_time)
-    if not buffered:
-        raise ValueError("no matching records")
-    span = span_seconds if span_seconds is not None else horizon + bin_seconds
-    n_bins = int(np.ceil(span / bin_seconds))
-    series = np.zeros(n_bins)
-    for time, size in buffered:
-        idx = min(int(time // bin_seconds), n_bins - 1)
-        series[idx] += size
-    return series
 
 
 @dataclass
@@ -73,16 +44,6 @@ class PeriodicityReport:
     def periodicity_strength(self) -> float:
         """Max of the day/week autocorrelations (1 = perfectly periodic)."""
         return max(self.daily_autocorrelation, self.weekly_autocorrelation)
-
-
-def analyze_direction(
-    records: Iterable[TraceRecord],
-    direction: Optional[bool],
-    bin_seconds: float = HOUR,
-) -> PeriodicityReport:
-    """Build a report for reads (False), writes (True) or both (None)."""
-    series = rate_series(records, bin_seconds=bin_seconds, direction=direction)
-    return _report_from_series(series, direction, bin_seconds)
 
 
 def _report_from_series(
@@ -130,17 +91,6 @@ def analyze_direction_from_batches(
         batches, bin_seconds=bin_seconds, direction=direction
     )
     return _report_from_series(series, direction, bin_seconds)
-
-
-def periodicity_comparison(records_factory) -> Comparison:
-    """Paper-vs-measured periodicity claims.
-
-    ``records_factory`` is a zero-argument callable returning a fresh
-    record iterator (the series is scanned once per direction).
-    """
-    reads = analyze_direction(records_factory(), direction=False)
-    writes = analyze_direction(records_factory(), direction=True)
-    return _periodicity_claims(reads, writes)
 
 
 def periodicity_comparison_from_batches(

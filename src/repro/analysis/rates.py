@@ -14,8 +14,7 @@ import numpy as np
 
 from repro.analysis import accumulators
 from repro.analysis.render import render_series
-from repro.trace.record import TraceRecord
-from repro.util.timeutil import DAY_NAMES, TraceCalendar
+from repro.util.timeutil import DAY_NAMES
 from repro.util.units import DAY, HOUR, WEEK, bytes_to_gb
 
 if TYPE_CHECKING:
@@ -60,32 +59,6 @@ class RateProfile:
         )
 
 
-def _accumulate(
-    records: Iterable[TraceRecord],
-    bin_of: "callable",
-    n_bins: int,
-) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Sum bytes per bin for reads and writes; also returns the span."""
-    read_bytes = np.zeros(n_bins)
-    write_bytes = np.zeros(n_bins)
-    first = None
-    last = None
-    for record in records:
-        if record.is_error:
-            continue
-        if first is None:
-            first = record.start_time
-        last = record.start_time
-        idx = bin_of(record.start_time)
-        if record.is_write:
-            write_bytes[idx] += record.file_size
-        else:
-            read_bytes[idx] += record.file_size
-    if first is None or last is None or last <= first:
-        raise ValueError("need a non-degenerate record stream")
-    return read_bytes, write_bytes, last - first
-
-
 def _hourly_labels_and_norm(span: float) -> Tuple[List[str], float]:
     # Each hour-of-day bin collects one hour per traced day.
     return [f"{h:02d}" for h in range(24)], max(span / DAY, 1.0)
@@ -107,42 +80,6 @@ def _profile(
         read_gb_per_hour=bytes_to_gb(read_bytes) / hours_per_bin,
         write_gb_per_hour=bytes_to_gb(write_bytes) / hours_per_bin,
     )
-
-
-def hourly_profile(records: Iterable[TraceRecord]) -> RateProfile:
-    """Figure 4: average GB/hour by hour of day (0 = midnight)."""
-    read_bytes, write_bytes, span = _accumulate(
-        records, lambda t: int((t % DAY) // HOUR), 24
-    )
-    return _profile(read_bytes, write_bytes, *_hourly_labels_and_norm(span))
-
-
-def weekly_profile(records: Iterable[TraceRecord]) -> RateProfile:
-    """Figure 5: average GB/hour by day of week (0 = Sunday)."""
-    calendar = TraceCalendar()
-    read_bytes, write_bytes, span = _accumulate(
-        records, calendar.day_of_week, 7
-    )
-    return _profile(read_bytes, write_bytes, *_weekly_labels_and_norm(span))
-
-
-def secular_series(
-    records: Iterable[TraceRecord], n_weeks: int = 104
-) -> RateProfile:
-    """Figure 6: average GB/hour for each trace week."""
-    read_bytes, write_bytes, _ = _accumulate(
-        records,
-        lambda t: min(int(t // WEEK), n_weeks - 1),
-        n_weeks,
-    )
-    hours_per_week = WEEK / HOUR
-    return _profile(
-        read_bytes, write_bytes, [f"w{w}" for w in range(n_weeks)], hours_per_week
-    )
-
-
-# ---------------------------------------------------------------------------
-# Columnar entry points (the figure/table path)
 
 
 def hourly_profile_from_batches(batches: Iterable["EventBatch"]) -> RateProfile:

@@ -8,7 +8,7 @@ the trace, as in Table 4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Tuple
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from repro.analysis import accumulators
 from repro.analysis.compare import Comparison
 from repro.analysis.render import render_cdf
 from repro.core import paper
-from repro.trace.record import TraceRecord
 from repro.util.stats import CDF
 
 if TYPE_CHECKING:
@@ -147,29 +146,13 @@ class ReferenceCounts:
         return comp
 
 
-def reference_counts(records: Iterable[TraceRecord]) -> ReferenceCounts:
-    """Count per-file reads and writes from a (deduped) record stream."""
-    counts: Dict[str, Tuple[int, int]] = {}
-    for record in records:
-        reads, writes = counts.get(record.mss_path, (0, 0))
-        if record.is_write:
-            counts[record.mss_path] = (reads, writes + 1)
-        else:
-            counts[record.mss_path] = (reads + 1, writes)
-    if not counts:
-        raise ValueError("no records")
-    reads = np.fromiter((rw[0] for rw in counts.values()), dtype=np.int64)
-    writes = np.fromiter((rw[1] for rw in counts.values()), dtype=np.int64)
-    return ReferenceCounts(reads=reads, writes=writes)
-
-
 def reference_counts_from_batches(
     batches: Iterable["EventBatch"],
 ) -> ReferenceCounts:
     """Figure 8 from an (already deduped) batch stream.
 
     Two ``bincount`` calls replace the per-record dict updates; files
-    come out in first-appearance order, matching the record path.
+    come out in first-appearance order.
     """
     reads, writes = accumulators.file_reference_counts(batches)
     return ReferenceCounts(reads=reads, writes=writes)

@@ -11,7 +11,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from repro.analysis.compare import Comparison
 from repro.analysis.render import render_cdf
 from repro.core import paper
 from repro.namespace.model import Namespace
-from repro.trace.record import TraceRecord
 from repro.util.stats import CDF, top_fraction_share
 from repro.util.units import MB
 
@@ -84,25 +83,6 @@ class DynamicSizeDistribution:
             note="qualitative: > 1 means writes bump",
         )
         return comp
-
-
-def dynamic_distribution(records: Iterable[TraceRecord]) -> DynamicSizeDistribution:
-    """Collect per-access sizes from successful references."""
-    reads: List[int] = []
-    writes: List[int] = []
-    for record in records:
-        if record.is_error:
-            continue
-        if record.is_write:
-            writes.append(record.file_size)
-        else:
-            reads.append(record.file_size)
-    if not reads or not writes:
-        raise ValueError("need both reads and writes")
-    return DynamicSizeDistribution(
-        read_sizes=np.asarray(reads, dtype=float),
-        write_sizes=np.asarray(writes, dtype=float),
-    )
 
 
 def dynamic_distribution_from_batches(

@@ -8,7 +8,6 @@ Subcommands::
     policies   compare migration policies on a synthetic workload
     sweep      run the Section 6 ablation grid in parallel
     report     run the full experiment suite and print every comparison
-    bench      cold-generation benchmark + per-stage profile table
     trace      columnar trace-store utilities (info / import / verify)
     scenario   declarative workloads (list / show / run / compare)
     runs       experiment registry (list / show / compare / promote /
@@ -116,11 +115,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             TraceStore.open(args.trace).iter_batches()
         )
     else:
-        from repro.analysis import overall_statistics
         from repro.trace.reader import TraceReader
+        from repro.trace.store import batches_from_records
 
         with TraceReader(args.trace) as reader:
-            analysis = overall_statistics(reader)
+            analysis = overall_statistics_from_batches(
+                batches_from_records(reader)
+            )
     print(analysis.render())
     print()
     print(analysis.comparison().render())
@@ -512,68 +513,6 @@ def _print_generation_stages(traces) -> None:
             merged.add(name, seconds)
     if merged.stages:
         print(merged.render(indent="      "))
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Cold-generation benchmark + stage profile, outside pytest.
-
-    Times the vectorized pipeline (best of ``--rounds``), prints the
-    stage-profile table, and re-times the placement and session-packing
-    stages through the seed's per-event reference implementations so the
-    vectorization speedup is reproducible from the shell.  ``--suite``
-    then runs the full pytest benchmark suite.
-    """
-    import time
-
-    from repro.core.study import StudyConfig
-    from repro.workload.generator import (
-        generate_trace,
-        time_generation_stage_paths,
-    )
-    from repro.workload.profiler import StageProfiler
-
-    # The dense-study workload: the config the throughput gates pin.
-    config = StudyConfig.dense(
-        scale=args.scale, seed=args.seed, days=args.days
-    ).workload
-
-    best_seconds = float("inf")
-    prof = StageProfiler()
-    trace = None
-    for _ in range(max(args.rounds, 1)):
-        round_prof = StageProfiler()
-        start = time.perf_counter()
-        trace = generate_trace(config, profiler=round_prof)
-        elapsed = time.perf_counter() - start
-        if elapsed < best_seconds:
-            best_seconds, prof = elapsed, round_prof
-    rate = trace.n_events / best_seconds if best_seconds > 0 else float("inf")
-    print(
-        f"cold generation: {best_seconds:.3f} s best of {args.rounds} "
-        f"({trace.n_events} events, {rate:,.0f} ev/s)"
-    )
-    print("stage profile:")
-    print(prof.render(indent="  "))
-
-    # Scalar-vs-vectorized stage comparison on this trace's good events,
-    # through the same harness the throughput benchmark gates.
-    timings = time_generation_stage_paths(trace, rounds=max(args.rounds, 1))
-    for label in ("placement", "sessions"):
-        scalar = timings[f"scalar_{label}_seconds"]
-        vector = timings[f"vector_{label}_seconds"]
-        speedup = scalar / vector if vector > 0 else float("inf")
-        print(
-            f"{label}: scalar {scalar:.3f} s -> vectorized {vector:.3f} s "
-            f"({speedup:.1f}x)"
-        )
-    print(f"combined stage speedup: {timings['speedup']:.1f}x")
-
-    if args.suite is not None:
-        import pytest
-
-        print(f"\nrunning benchmark suite: {args.suite}")
-        return int(pytest.main(["-q", "-s", args.suite]))
-    return 0
 
 
 def _scenario_spec(args: argparse.Namespace, name: Optional[str] = None):
@@ -1140,24 +1079,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="record the paper-vs-measured comparisons as a "
                    "registry run under DIR")
     p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser(
-        "bench",
-        help="cold-generation benchmark + stage profile (and, with "
-        "--suite, the pytest benchmark suite)",
-    )
-    p.add_argument("--scale", type=float, default=0.02,
-                   help="dense-workload scale (default 0.02, the gated config)")
-    p.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
-    p.add_argument("--days", type=float, default=14.62,
-                   help="dense-workload span in days (default 14.62)")
-    p.add_argument("--rounds", type=int, default=3,
-                   help="timing rounds, best-of (default 3)")
-    p.add_argument("--suite", nargs="?", const="benchmarks", default=None,
-                   metavar="DIR",
-                   help="also run the pytest benchmark suite from this "
-                   "directory (default: benchmarks)")
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
         "scenario",

@@ -139,12 +139,14 @@ def _table1(study: Study) -> ExperimentResult:
 def _table2(study: Study) -> ExperimentResult:
     from itertools import islice
 
+    from repro.engine.records import records_from_batches
     from repro.trace.writer import dump_trace_string
 
     # Table 2 is *about* the per-record format, so this is the one
     # experiment that renders record views -- a bounded head of the lazy
     # adapter, never the materialized trace.
-    records = list(islice(study.iter_records(), 20000))
+    raw = records_from_batches(study.iter_batches("raw"), study.trace.namespace)
+    records = list(islice(raw, 20000))
     compact = dump_trace_string(records)
     ratio = len(verbose_log_sample(records)) / max(len(compact), 1)
     comp = Comparison("Table 2 (format compaction)")

@@ -4,14 +4,10 @@ A :class:`Study` owns one synthetic trace (and, lazily, a DES replay of
 it) and hands the analyses what they need.  It is the object the CLI,
 examples and benchmarks all drive.
 
-The study's native artifact is the columnar batch stream:
+The study's one stream artifact is the columnar batch stream:
 :meth:`Study.iter_batches` yields :class:`~repro.engine.batch.EventBatch`
 chunks -- raw, error-stripped, or deduped -- and every figure/table
-experiment reduces those streams directly.  The record views
-(:meth:`records`, :meth:`iter_records`, :meth:`good_records`,
-:meth:`deduped_records`) remain as thin compatibility wrappers over the
-same streams for external callers; no analysis path materializes a
-``List[TraceRecord]`` anymore.
+experiment reduces those streams directly.
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ from repro.analysis import (
 )
 from repro.mss.metrics import MetricsCollector
 from repro.mss.system import MSSConfig, MSSSystem
-from repro.trace.record import TraceRecord
 from repro.util.units import DAY
 from repro.workload.config import WorkloadConfig
 from repro.workload.generator import SyntheticTrace, generate_trace
@@ -53,8 +48,8 @@ class StudyConfig:
     #: columnar :class:`~repro.engine.store.TraceStore` keyed by the
     #: workload config, so repeated batch-stream analyses skip
     #: generation.  The store holds events, not the namespace: anything
-    #: touching :attr:`Study.trace` (Table 4, record views, prepared HSM
-    #: streams) still generates on first use.
+    #: touching :attr:`Study.trace` (Table 4, prepared HSM streams) still
+    #: generates on first use.
     cache_dir: Optional[str] = None
     #: Composed multi-tenant workload.  When set, the study's stream is
     #: the scenario compositor's k-way merge of every component (each
@@ -90,7 +85,6 @@ class Study:
                 "scenario"
             )
         self._trace: Optional[SyntheticTrace] = None
-        self._records: Optional[List[TraceRecord]] = None
         self._replayed: Optional[Tuple[List["EventBatch"], MetricsCollector]] = None
         self._batches: dict = {}
         self._store = None
@@ -254,39 +248,6 @@ class Study:
             else ["all"]
         )
         return tenant_breakdown_from_batches(self.iter_batches("raw"), labels)
-
-    # ------------------------------------------------------------------
-    # Record views (compatibility wrappers over the batch streams)
-
-    def iter_records(self) -> Iterator[TraceRecord]:
-        """Lazy record view of the (possibly replayed) raw stream."""
-        from repro.engine.records import records_from_batches
-
-        if self._records is not None:
-            return iter(self._records)
-        return records_from_batches(self.iter_batches("raw"), self.trace.namespace)
-
-    def records(self) -> List[TraceRecord]:
-        """Materialized records, DES-replayed if the config asks for it.
-
-        Compatibility API: analyses consume :meth:`iter_batches`; this
-        exists for external callers that want per-record objects.
-        """
-        if self._records is None:
-            self._records = list(self.iter_records())
-        return self._records
-
-    def good_records(self) -> Iterator[TraceRecord]:
-        """Successful references only (record view of ``"good"``)."""
-        from repro.trace.filters import strip_errors
-
-        return strip_errors(self.iter_records())
-
-    def deduped_records(self) -> Iterator[TraceRecord]:
-        """The Section 5.3 stream (record view of ``"deduped"``)."""
-        from repro.trace.filters import dedupe_for_file_analysis
-
-        return dedupe_for_file_analysis(self.good_records())
 
     # ------------------------------------------------------------------
     # Canned analyses

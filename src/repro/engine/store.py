@@ -579,7 +579,6 @@ def open_or_generate(
     cache_dir: Union[str, Path],
     variant: str = "trace",
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    check: str = "light",
 ) -> TraceStore:
     """The capture-once entry point: cached store, or generate and cache.
 
@@ -588,22 +587,17 @@ def open_or_generate(
     HSM replay stream (error-stripped, size-clamped, core columns only;
     ``hsm`` additionally deduped) the sweep replays.
 
-    Self-healing: a cache hit is validated per ``check`` -- ``"light"``
-    (default) confirms every shard file exists at its recorded size,
-    ``"deep"`` re-hashes every shard, ``"open"`` trusts the manifest.  A
-    damaged slot is quarantined (:func:`quarantine_slot`) and the store
-    regenerated in its place, so bit rot or a truncated shard costs one
-    regeneration instead of crashing the consumer mid-read.
+    Self-healing: a cache hit is validated light -- every shard file
+    must exist at its recorded size.  A damaged slot is quarantined
+    (:func:`quarantine_slot`) and the store regenerated in its place, so
+    a truncated or missing shard costs one regeneration instead of
+    crashing the consumer mid-read.  Bit rot that keeps a shard's size
+    passes; ``repro trace verify`` re-hashes every shard to find it.
     """
-    if check not in ("open", "light", "deep"):
-        raise ValueError(f"unknown check level {check!r}")
     store = open_cached(config, cache_dir, variant)
     if store is not None:
         try:
-            if check == "light":
-                store.validate_light()
-            elif check == "deep":
-                store.verify()
+            store.validate_light()
             return store
         except StoreError:
             quarantine_slot(store.path)

@@ -1,12 +1,10 @@
 """Vectorized transforms over batch streams.
 
-These are the columnar counterparts of :mod:`repro.trace.filters`: the
-error strip of Section 5.1 and the eight-hour dedupe of Section 5.3,
+The error strip of Section 5.1 and the eight-hour dedupe of Section 5.3,
 applied per batch with numpy instead of per record with Python objects.
 :func:`prepare_batch` composes them into the one step that turns a raw
-batch into HSM replay input -- the engine-side equivalent of the
-``events_from_trace`` record walk -- for batch streams and live serve
-sessions alike.
+batch into HSM replay input, for batch streams and live serve sessions
+alike.
 """
 
 from __future__ import annotations
@@ -34,8 +32,8 @@ class BlockDeduper:
     ``window`` block.  On a time-ordered stream only the keys kept in the
     newest block can drop a later event, so that block and its sorted
     ``(file, direction)`` keys are all the state carried across batches.
-    Matches :func:`repro.trace.filters.dedupe_for_file_analysis`
-    (``mode="block"``) event for event on any time-ordered stream.
+    Matches a per-record walk of the same rule (the tests' oracle)
+    event for event on any time-ordered stream.
     """
 
     def __init__(self, window: float = EIGHT_HOURS) -> None:

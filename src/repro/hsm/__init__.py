@@ -1,18 +1,17 @@
 """Hierarchical storage management: managed disk cache over tape."""
 
-from repro.hsm.cache import AccessOutcome, CacheConfig, ManagedDiskCache
+from repro.hsm.cache import CacheConfig, ManagedDiskCache
 from repro.hsm.cutthrough import (
     CutThroughReport,
     blocking_stall,
     cutthrough_stall,
     evaluate_cutthrough,
 )
-from repro.hsm.manager import HSM, HSMConfig, events_from_trace
+from repro.hsm.manager import HSM, HSMConfig
 from repro.hsm.metrics import DISK_HIT_LATENCY, HSMMetrics, TAPE_MISS_LATENCY
 from repro.hsm.prefetch import PrefetchConfig, SequentialPrefetcher
 
 __all__ = [
-    "AccessOutcome",
     "CacheConfig",
     "CutThroughReport",
     "blocking_stall",
@@ -26,5 +25,4 @@ __all__ = [
     "PrefetchConfig",
     "SequentialPrefetcher",
     "TAPE_MISS_LATENCY",
-    "events_from_trace",
 ]

@@ -11,12 +11,15 @@ space can be reclaimed without further tape work.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.hsm.metrics import HSMMetrics
 from repro.migration.policy import MigrationPolicy
 from repro.util.units import HOUR
+
+if TYPE_CHECKING:
+    from repro.hsm.prefetch import SequentialPrefetcher
 
 
 @dataclass(frozen=True)
@@ -37,16 +40,6 @@ class CacheConfig:
             raise ValueError("capacity must be positive")
         if not 0 < self.low_watermark <= self.high_watermark <= 1.0:
             raise ValueError("need 0 < low <= high <= 1")
-
-
-@dataclass(slots=True)
-class AccessOutcome:
-    """What one reference did to the cache."""
-
-    hit: bool
-    staged_bytes: int = 0
-    evicted: List[int] = field(default_factory=list)
-    forced_flush: bool = False
 
 
 class ManagedDiskCache:
@@ -112,62 +105,28 @@ class ManagedDiskCache:
     # ------------------------------------------------------------------
     # The access path
 
-    def access(
-        self, file_id: int, size: int, time: float, is_write: bool
-    ) -> AccessOutcome:
-        """Apply one reference; returns what happened."""
-        if size <= 0:
-            raise ValueError("file size must be positive")
-        self._note_time(time)
-        self.flush_due(time)
-        if size > self.config.capacity_bytes:
-            return self._bypass(file_id, size, time, is_write)
-        if is_write:
-            hit = file_id in self._sizes
-            return AccessOutcome(hit=hit, evicted=self._write(file_id, size, time))
-        return self._read(file_id, size, time)
-
-    def _bypass(
-        self, file_id: int, size: int, time: float, is_write: bool
-    ) -> AccessOutcome:
-        """A file larger than the managed disk cannot be staged: it moves
-        directly between the Cray and tape, leaving the cache untouched."""
-        metrics = self.metrics
-        if is_write:
-            metrics.writes += 1
-            metrics.bytes_written += size
-            metrics.bypassed_writes += 1
-            metrics.tape_writes += 1
-            metrics.bytes_flushed += size
-            # The tape copy exists now, so a later read is not compulsory.
-            self._ever_seen.add(file_id)
-            return AccessOutcome(hit=False)
-        metrics.reads += 1
-        metrics.read_misses += 1
-        metrics.bypassed_reads += 1
-        if file_id not in self._ever_seen:
-            metrics.compulsory_misses += 1
-            self._ever_seen.add(file_id)
-        metrics.bytes_staged += size
-        return AccessOutcome(hit=False, staged_bytes=size)
-
     def access_batch(
         self,
         file_ids: Sequence[int],
         sizes: Sequence[int],
         times: Sequence[float],
         writes: Sequence[bool],
+        prefetcher: Optional["SequentialPrefetcher"] = None,
     ) -> None:
         """Apply one time-ordered batch of references.
 
-        Semantically identical to calling :meth:`access` per event (final
-        metrics and cache/policy state match exactly), but the read-hit
-        fast path is inlined: hits neither allocate an
-        :class:`AccessOutcome` nor call into the policy one event at a
-        time -- consecutive hits are buffered and handed to the policy as
-        one :meth:`~repro.migration.policy.MigrationPolicy.on_access_batch`
-        run just before the next state-changing event.  This is the hot
-        loop of every Section 6 sweep.
+        The read-hit path is inlined: consecutive hits are buffered and
+        handed to the policy as one
+        :meth:`~repro.migration.policy.MigrationPolicy.on_access_batch`
+        run just before the next state-changing event (nothing changes
+        residency inside a run of hits).  This is the hot loop of every
+        Section 6 sweep.
+
+        With a ``prefetcher``, every read miss also stages the file's
+        next siblings (:meth:`_prefetch_around`), every eviction cancels
+        the victim's outstanding prefetch, and a read hit on an
+        outstanding prefetch counts one prefetch hit when its run of hits
+        is settled.
         """
         n = len(file_ids)
         if n == 0:
@@ -176,13 +135,13 @@ class ManagedDiskCache:
         # Whole-batch pre-check: when every size is positive and fits the
         # cache (the normal case) the hot loop can skip two comparisons
         # per event.  A batch containing nonpositive or oversized sizes
-        # is split at those indices: the degenerate events take the
-        # per-event path (raise / bypass exactly where `access` would),
-        # and every clean span between them still runs the fast loop.
+        # is split at those indices: the degenerate events raise or
+        # bypass one at a time, and every clean span between them still
+        # runs the fast loop.
         if min(sizes) <= 0 or max(sizes) > capacity:
-            self._access_batch_split(file_ids, sizes, times, writes)
+            self._access_batch_split(file_ids, sizes, times, writes, prefetcher)
             return
-        self._access_batch_fast(file_ids, sizes, times, writes)
+        self._access_batch_fast(file_ids, sizes, times, writes, prefetcher)
 
     def _access_batch_fast(
         self,
@@ -190,6 +149,7 @@ class ManagedDiskCache:
         sizes: Sequence[int],
         times: Sequence[float],
         writes: Sequence[bool],
+        prefetcher: Optional["SequentialPrefetcher"],
     ) -> None:
         """The buffered-hit hot loop; callers guarantee clean sizes."""
         n = len(file_ids)
@@ -209,6 +169,8 @@ class ManagedDiskCache:
             metrics.reads += len(hit_files)
             metrics.read_hits += len(hit_files)
             policy.on_access_batch(hit_files, hit_times)
+            if prefetcher is not None:
+                metrics.prefetch_hits += prefetcher.consume_hits(hit_files)
             hit_files.clear()
             hit_times.clear()
 
@@ -222,9 +184,14 @@ class ManagedDiskCache:
             if hit_files:
                 drain_hits()
             if is_write:
-                write(file_id, size, time)
+                evicted = write(file_id, size, time)
             else:
-                stage_miss(file_id, size, time)
+                evicted = stage_miss(file_id, size, time)
+            if prefetcher is not None:
+                for victim in evicted:
+                    prefetcher.cancel(victim)
+                if not is_write:
+                    self._prefetch_around(prefetcher, file_id, time)
         if hit_files:
             drain_hits()
         if self._first_time is None:
@@ -238,14 +205,16 @@ class ManagedDiskCache:
         sizes: Sequence[int],
         times: Sequence[float],
         writes: Sequence[bool],
+        prefetcher: Optional["SequentialPrefetcher"],
     ) -> None:
         """Batch path for streams containing oversized or bad sizes.
 
-        Only the degenerate events drop to per-event handling; the clean
-        spans between them replay through :meth:`_access_batch_fast`, so
-        one oversized file no longer demotes a whole batch to the scalar
-        loop.  Raises on a nonpositive size exactly where the per-event
-        path would, with every earlier event already applied.
+        Only the degenerate events are handled one at a time; the clean
+        spans between them replay through :meth:`_access_batch_fast`.
+        Raises on a nonpositive size with every earlier event already
+        applied.  An oversized read is a read miss, so it triggers a
+        prefetch; if the file is resident at another size and was
+        prefetched, the read first counts as a prefetch hit.
         """
         capacity = self.config.capacity_bytes
         n = len(file_ids)
@@ -256,31 +225,67 @@ class ManagedDiskCache:
             if i > start:
                 self._access_batch_fast(
                     file_ids[start:i], sizes[start:i],
-                    times[start:i], writes[start:i],
+                    times[start:i], writes[start:i], prefetcher,
                 )
             if size <= 0:
                 raise ValueError("file size must be positive")
-            time = times[i]
+            file_id, time, is_write = file_ids[i], times[i], writes[i]
             self._note_time(float(time))
             self.flush_due(time)
-            self._bypass(file_ids[i], size, time, writes[i])
+            prefetching = prefetcher is not None and not is_write
+            if prefetching and prefetcher.consume_hit(file_id):
+                self.metrics.prefetch_hits += 1
+            self._bypass(file_id, size, time, is_write)
+            if prefetching:
+                self._prefetch_around(prefetcher, file_id, time)
             start = i + 1
         if start < n:
             self._access_batch_fast(
-                file_ids[start:n], sizes[start:n], times[start:n], writes[start:n]
+                file_ids[start:n], sizes[start:n], times[start:n],
+                writes[start:n], prefetcher,
             )
 
-    def _read(self, file_id: int, size: int, time: float) -> AccessOutcome:
-        if file_id in self._sizes:
-            self.metrics.reads += 1
-            self.metrics.read_hits += 1
-            self.policy.on_access(file_id, time, is_write=False)
-            return AccessOutcome(hit=True)
-        evicted = self._stage_miss(file_id, size, time)
-        return AccessOutcome(hit=False, staged_bytes=size, evicted=evicted)
+    def _bypass(
+        self, file_id: int, size: int, time: float, is_write: bool
+    ) -> None:
+        """A file larger than the managed disk cannot be staged: it moves
+        directly between the Cray and tape, leaving the cache untouched."""
+        metrics = self.metrics
+        if is_write:
+            metrics.writes += 1
+            metrics.bytes_written += size
+            metrics.bypassed_writes += 1
+            metrics.tape_writes += 1
+            metrics.bytes_flushed += size
+            # The tape copy exists now, so a later read is not compulsory.
+            self._ever_seen.add(file_id)
+            return
+        metrics.reads += 1
+        metrics.read_misses += 1
+        metrics.bypassed_reads += 1
+        if file_id not in self._ever_seen:
+            metrics.compulsory_misses += 1
+            self._ever_seen.add(file_id)
+        metrics.bytes_staged += size
+
+    def _prefetch_around(
+        self, prefetcher: "SequentialPrefetcher", file_id: int, time: float
+    ) -> None:
+        """Stage the next siblings of a read-missed file speculatively."""
+        metrics = self.metrics
+        for sibling_id, sibling_size in prefetcher.candidates(file_id):
+            if sibling_id in self._sizes:
+                continue
+            if sibling_size > self.config.capacity_bytes // 4:
+                continue  # do not wipe the cache for speculation
+            metrics.prefetches_issued += 1
+            metrics.bytes_staged += sibling_size
+            for victim in self._insert(sibling_id, sibling_size, time, dirty=False):
+                prefetcher.cancel(victim)
+            prefetcher.note_prefetched(sibling_id)
 
     def _stage_miss(self, file_id: int, size: int, time: float) -> List[int]:
-        """Read-miss bookkeeping + staging (shared by both access paths)."""
+        """Read-miss bookkeeping + staging; returns the files evicted."""
         metrics = self.metrics
         metrics.reads += 1
         metrics.read_misses += 1
@@ -290,8 +295,7 @@ class ManagedDiskCache:
         return self._insert(file_id, size, time, dirty=False)
 
     def _write(self, file_id: int, size: int, time: float) -> List[int]:
-        """Write bookkeeping (shared by both access paths); returns the
-        files evicted to make room."""
+        """Write bookkeeping; returns the files evicted to make room."""
         metrics = self.metrics
         metrics.writes += 1
         metrics.bytes_written += size

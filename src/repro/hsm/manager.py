@@ -9,22 +9,17 @@ write-back, and measure what prefetching buys.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.hsm.cache import CacheConfig, ManagedDiskCache
 from repro.hsm.metrics import HSMMetrics
 from repro.hsm.prefetch import PrefetchConfig, SequentialPrefetcher
 from repro.migration.policy import MigrationPolicy
 from repro.namespace.model import Namespace
-from repro.workload.generator import SyntheticTrace
 
 if TYPE_CHECKING:
     from repro.engine.batch import EventBatch
     from repro.verify.invariants import HSMInvariantChecker
-
-#: One reference: (file_id, size_bytes, time_seconds, is_write).  Legacy
-#: per-tuple form; the pipeline moves :class:`EventBatch`es instead.
-Event = Tuple[int, int, float, bool]
 
 
 @dataclass
@@ -91,45 +86,6 @@ class HSM:
         """Counters accumulated so far."""
         return self.cache.metrics
 
-    def handle(self, event: Event) -> None:
-        """Apply one reference."""
-        file_id, size, time, is_write = event
-        if self.prefetcher is not None and not is_write:
-            if self.cache.is_resident(file_id) and self.prefetcher.consume_hit(file_id):
-                self.metrics.prefetch_hits += 1
-        outcome = self.cache.access(file_id, size, time, is_write)
-        if self.prefetcher is not None:
-            for evicted in outcome.evicted:
-                self.prefetcher.cancel(evicted)
-            if not is_write and not outcome.hit:
-                self._prefetch_around(file_id, time)
-
-    def _prefetch_around(self, file_id: int, time: float) -> None:
-        assert self.prefetcher is not None
-        for sibling_id, sibling_size in self.prefetcher.candidates(file_id):
-            if self.cache.is_resident(sibling_id):
-                continue
-            if sibling_size > self.config.cache.capacity_bytes // 4:
-                continue  # do not wipe the cache for speculation
-            self.metrics.prefetches_issued += 1
-            self.metrics.bytes_staged += sibling_size
-            for evicted in self.cache._insert(
-                sibling_id, sibling_size, time, dirty=False
-            ):
-                self.prefetcher.cancel(evicted)
-            self.prefetcher.note_prefetched(sibling_id)
-
-    def run(self, events: Iterable[Event]) -> HSMMetrics:
-        """Replay a whole per-tuple reference stream.
-
-        Legacy entry point kept for unit tests and ad-hoc streams; the
-        pipeline path is :meth:`replay` over :class:`EventBatch`es.
-        """
-        for event in events:
-            self.handle(event)
-        self.cache.flush_all()
-        return self.metrics
-
     def _invariant_checker(self) -> Optional["HSMInvariantChecker"]:
         """The live checker while ``REPRO_CHECK_INVARIANTS`` is on."""
         from repro.verify.invariants import (
@@ -149,11 +105,8 @@ class HSM:
     def feed(self, batch: "EventBatch") -> None:
         """Apply one prepared batch (see :func:`repro.engine.stream.prepare_batch`).
 
-        Produces the state that feeding the same events through
-        :meth:`handle` one tuple at a time would, but drives the cache
-        through its batch access path (buffered hit runs, no per-event
-        allocations).  With prefetching enabled every event goes through
-        :meth:`handle`, because each access outcome feeds the prefetcher.
+        One call of the cache's batch access path, with or without the
+        prefetcher (read misses stage their siblings inside that loop).
 
         With ``REPRO_CHECK_INVARIANTS=1`` every batch is followed by the
         conservation-law check and a structural audit of the cache; the
@@ -163,18 +116,10 @@ class HSM:
         from repro.engine.resilience import fault_point
 
         checker = self._invariant_checker()
-        columns = (
-            batch.file_id.tolist(),
-            batch.size.tolist(),
-            batch.time.tolist(),
-            batch.is_write.tolist(),
+        self.cache.access_batch(
+            batch.file_id.tolist(), batch.size.tolist(),
+            batch.time.tolist(), batch.is_write.tolist(), self.prefetcher,
         )
-        if self.prefetcher is None:
-            self.cache.access_batch(*columns)
-        else:
-            handle = self.handle
-            for event in zip(*columns):
-                handle(event)
         index = self.batches_fed
         self.batches_fed = index + 1
         if "corrupt" in fault_point("hsm-batch", f"batch:{index}"):
@@ -196,32 +141,3 @@ class HSM:
             self.feed(batch)
         return self.finalize()
 
-
-# ---------------------------------------------------------------------------
-# Event-stream construction
-
-
-def events_from_trace(
-    trace: SyntheticTrace, deduped: bool = True
-) -> List[Event]:
-    """Reference stream for HSM replay from a synthetic trace.
-
-    Failed references are dropped; by default the 8-hour dedupe is applied
-    (migration decisions would not see batch-script re-requests, Section 6).
-
-    Legacy record-walking implementation, kept as the reference the
-    engine's columnar pipeline (:func:`repro.engine.replay.prepare_stream`)
-    is verified against; new code should use the engine path.
-    """
-    from repro.trace.filters import dedupe_for_file_analysis, strip_errors
-
-    records = strip_errors(trace.iter_records())
-    if deduped:
-        records = dedupe_for_file_analysis(records)
-    events: List[Event] = []
-    for record in records:
-        entry = trace.namespace.file_by_path(record.mss_path)
-        events.append(
-            (entry.file_id, max(entry.size, 1), record.start_time, record.is_write)
-        )
-    return events

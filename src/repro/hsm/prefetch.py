@@ -10,7 +10,7 @@ prefetcher stages the next file(s) in sequence whenever a read misses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Set, Tuple
+from typing import Iterable, List, Set, Tuple
 
 from repro.namespace.model import Namespace
 
@@ -55,6 +55,12 @@ class SequentialPrefetcher:
             self._outstanding.discard(file_id)
             return True
         return False
+
+    def consume_hits(self, file_ids: Iterable[int]) -> int:
+        """:meth:`consume_hit` over a run of reads; returns the hits."""
+        used = self._outstanding.intersection(file_ids)
+        self._outstanding -= used
+        return len(used)
 
     def cancel(self, file_id: int) -> None:
         """The file left the cache before being used."""

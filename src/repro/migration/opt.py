@@ -10,7 +10,7 @@ policies are judged against.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.migration.policy import MigrationPolicy, ResidentFile
 
@@ -31,19 +31,11 @@ class OptimalPolicy(MigrationPolicy):
         }
 
     @staticmethod
-    def from_events(events: Iterable[Tuple[int, float]]) -> "OptimalPolicy":
-        """Build the schedule from (file_id, time) pairs."""
-        schedule: Dict[int, List[float]] = {}
-        for file_id, time in events:
-            schedule.setdefault(file_id, []).append(time)
-        return OptimalPolicy(schedule)
-
-    @staticmethod
     def from_batches(batches: Sequence) -> "OptimalPolicy":
         """Build the schedule from :class:`~repro.engine.batch.EventBatch`es.
 
-        Vectorized: one lexsort over the concatenated (file, time) columns
-        replaces the per-event dict appends of :meth:`from_events`.
+        Vectorized: one lexsort over the concatenated (file, time)
+        columns, then one slice of the sorted times per file.
         """
         import numpy as np
 

@@ -1,12 +1,14 @@
-"""Trace substrate: the record format of Table 2 plus codec, I/O, filters.
+"""Trace substrate: the record format of Table 2 plus codec and I/O.
 
 Public surface::
 
     from repro.trace import (
         TraceRecord, Device, Flags, ErrorKind,
-        TraceReader, TraceWriter, read_trace, write_trace,
-        strip_errors, dedupe_for_file_analysis, TraceStatistics,
+        TraceReader, TraceWriter, read_trace, write_trace, TraceStatistics,
     )
+
+The Section 5.1 error strip and the Section 5.3 eight-hour dedupe run on
+batch streams (:mod:`repro.engine.stream`).
 """
 
 from repro.trace.codec import (
@@ -26,16 +28,6 @@ from repro.trace.errors import (
     TraceFormatError,
     TraceValidationError,
 )
-from repro.trace.filters import (
-    EIGHT_HOURS,
-    by_device,
-    by_direction,
-    dedupe_for_file_analysis,
-    fraction_rereferenced_within,
-    only_errors,
-    strip_errors,
-    time_slice,
-)
 from repro.trace.flags import Flags
 from repro.trace.reader import TraceReader, load_trace_string, read_trace
 from repro.trace.record import (
@@ -52,7 +44,6 @@ from repro.trace.writer import TraceWriter, dump_trace_string, write_trace
 __all__ = [
     "CellStats",
     "Device",
-    "EIGHT_HOURS",
     "ErrorKind",
     "FORMAT_MAGIC",
     "FORMAT_VERSION",
@@ -67,23 +58,16 @@ __all__ = [
     "TraceStatistics",
     "TraceValidationError",
     "TraceWriter",
-    "by_device",
-    "by_direction",
-    "dedupe_for_file_analysis",
     "device_token",
     "dump_trace_string",
     "escape_path",
-    "fraction_rereferenced_within",
     "iter_decode",
     "load_trace_string",
     "make_read",
     "make_write",
-    "only_errors",
     "parse_device_token",
     "quantize_record",
     "read_trace",
-    "strip_errors",
-    "time_slice",
     "unescape_path",
     "write_trace",
 ]

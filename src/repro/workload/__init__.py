@@ -28,7 +28,6 @@ from repro.workload.lifecycle import (
     draw_lifecycles,
     expected_marginals,
 )
-from repro.workload.placement import DevicePlacement
 from repro.workload.trend import READ_TREND, SecularTrend, WRITE_TREND, trend_for
 from repro.workload.users import UserPopulation
 from repro.workload.weekly import READ_WEEKLY, WRITE_WEEKLY, WeeklyProfile, weekly_for
@@ -38,7 +37,6 @@ __all__ = [
     "AnalyticLatencyModel",
     "Archetype",
     "BurstConfig",
-    "DevicePlacement",
     "ErrorConfig",
     "GapConfig",
     "HourlyProfile",

@@ -86,8 +86,7 @@ def pack_sessions(
     fresh boundary after each event with probability ``1/mean`` yields
     i.i.d. geometric session sizes, truncated at the hour edge exactly
     like the drawn-then-clipped sizes of the scalar path), and a
-    segment-reset cumulative sum for intra-session offsets.  The scalar
-    reference lives on as :func:`pack_sessions_scalar`.
+    segment-reset cumulative sum for intra-session offsets.
 
     Returns ``(new_times, session_ids)`` aligned with the input order,
     where ``session_ids`` are globally unique ints (used to pin one user
@@ -144,63 +143,3 @@ def pack_sessions(
     return new_times, session_ids
 
 
-def pack_sessions_scalar(
-    rng: np.random.Generator,
-    times: np.ndarray,
-    config: SessionConfig,
-    group_keys: "np.ndarray | None" = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-hour-bin reference implementation of :func:`pack_sessions`.
-
-    The seed's original Python loop, kept as the statistical baseline the
-    vectorized path is tested and benchmarked against.  Note it predates
-    the hour-clamp fix: long sessions may spill past their hour bin.
-    """
-    if times.size == 0:
-        return times, np.empty(0, dtype=np.int64)
-    hour_bins = (times // HOUR).astype(np.int64)
-    order = np.argsort(hour_bins, kind="stable")
-    new_times = np.empty_like(times)
-    session_ids = np.empty(times.size, dtype=np.int64)
-    next_session = 0
-    start = 0
-    sorted_bins = hour_bins[order]
-    while start < order.size:
-        end = start
-        current = sorted_bins[start]
-        while end < order.size and sorted_bins[end] == current:
-            end += 1
-        members = order[start:end]
-        n = members.size
-        # Partition this hour's events into geometric-size sessions.
-        p = 1.0 / config.mean_session_length
-        sizes = []
-        remaining = n
-        while remaining > 0:
-            size = min(int(rng.geometric(p)), remaining)
-            sizes.append(size)
-            remaining -= size
-        if group_keys is None:
-            rng.shuffle(members)
-        else:
-            # Keep same-directory events adjacent (random tiebreak) so a
-            # session reads one directory, as a real job would.
-            keys = group_keys[members]
-            tiebreak = rng.random(n)
-            members = members[np.lexsort((tiebreak, keys))]
-        cursor = 0
-        hour_start = current * HOUR
-        for size in sizes:
-            chunk = members[cursor:cursor + size]
-            cursor += size
-            head = hour_start + rng.random() * (HOUR - config.intra_gap_cap * 2)
-            gaps = np.minimum(
-                rng.exponential(config.intra_gap_mean, size=size),
-                config.intra_gap_cap,
-            )
-            offsets = np.cumsum(gaps) - gaps[0]
-            new_times[chunk] = head + offsets
-            session_ids[chunk] = next_session
-            next_session += 1
-        start = end
-    return new_times, session_ids

@@ -35,20 +35,12 @@ from repro.trace.record import Device, TraceRecord
 from repro.trace.writer import TraceWriter
 from repro.util.rng import SeedSequenceFactory
 from repro.util.units import DAY
-from repro.workload.clustering import (
-    expand_bursts,
-    pack_sessions,
-    pack_sessions_scalar,
-)
+from repro.workload.clustering import expand_bursts, pack_sessions
 from repro.workload.config import WorkloadConfig
 from repro.workload.intensity import IntensityPair
 from repro.workload.latency import AnalyticLatencyModel
 from repro.workload.lifecycle import LifecycleSample, draw_lifecycles
-from repro.workload.placement import (
-    DEVICE_INDEX,
-    DevicePlacement,
-    assign_devices_batch,
-)
+from repro.workload.placement import DEVICE_INDEX, assign_devices_batch
 from repro.workload.profiler import StageProfiler
 from repro.workload.users import OWNER_READ_PROBABILITY, UserPopulation
 
@@ -87,7 +79,7 @@ class SyntheticTrace:
     transfers: np.ndarray      # float64 seconds
     lifecycles: LifecycleSample
     #: Wall-clock seconds per generation stage (``repro report --profile``
-    #: and ``repro bench`` print this table).
+    #: prints this table).
     stage_seconds: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -147,19 +139,15 @@ class SyntheticTrace:
             return writer.write_all(self.iter_records())
 
 
-def generate_trace(
-    config: Optional[WorkloadConfig] = None,
-    profiler: Optional[StageProfiler] = None,
-) -> SyntheticTrace:
+def generate_trace(config: Optional[WorkloadConfig] = None) -> SyntheticTrace:
     """Generate a synthetic NCAR trace from a configuration.
 
-    Pass a :class:`~repro.workload.profiler.StageProfiler` to collect
-    per-stage wall time; the table also lands on the returned trace's
+    Per-stage wall time lands on the returned trace's
     :attr:`~SyntheticTrace.stage_seconds`.
     """
     config = config or WorkloadConfig()
     seeds = SeedSequenceFactory(config.seed)
-    prof = profiler if profiler is not None else StageProfiler()
+    prof = StageProfiler()
 
     with prof.stage("namespace"):
         namespace = generate_namespace(
@@ -193,9 +181,9 @@ def generate_trace(
 
     with prof.stage("placement"):
         sizes = _file_size_array(namespace)[file_idx]
-        device_idx = _assign_devices(
-            config, lifecycles, namespace, times, file_idx, event_is_write,
-            sizes, seeds.named("placement"),
+        device_idx = assign_devices_batch(
+            seeds.named("placement"), config.placement, file_idx, sizes,
+            times, event_is_write,
         )
 
     with prof.stage("sessions"):
@@ -573,121 +561,6 @@ def _build_event_chains(
 
     keep = times < config.duration_seconds
     return times[keep], file_idx[keep], is_write[keep]
-
-
-def _assign_devices(
-    config: WorkloadConfig,
-    lifecycles: LifecycleSample,
-    namespace: Namespace,
-    times: np.ndarray,
-    file_idx: np.ndarray,
-    is_write: np.ndarray,
-    sizes: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Storage level per event (requires time-sorted events).
-
-    One :func:`~repro.workload.placement.assign_devices_batch` call over
-    the whole stream; the per-event reference path lives on as
-    :func:`_assign_devices_scalar` for the equivalence tests and the
-    cold-generation benchmark baseline.
-    """
-    return assign_devices_batch(
-        rng, config.placement, file_idx, sizes, times, is_write
-    )
-
-
-def _assign_devices_scalar(
-    config: WorkloadConfig,
-    lifecycles: LifecycleSample,
-    namespace: Namespace,
-    times: np.ndarray,
-    file_idx: np.ndarray,
-    is_write: np.ndarray,
-    sizes: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """The seed's per-event placement loop (reference implementation)."""
-    placement = DevicePlacement(config.placement)
-    size_array = _file_size_array(namespace)
-    for fid in np.where(lifecycles.preexisting)[0]:
-        placement.register_preexisting(rng, int(fid), int(size_array[fid]))
-    device_idx = np.empty(times.size, dtype=np.int8)
-    for i in range(times.size):
-        device = placement.assign(
-            rng,
-            int(file_idx[i]),
-            int(sizes[i]),
-            float(times[i]),
-            bool(is_write[i]),
-        )
-        device_idx[i] = _DEVICE_INDEX[device]
-    return device_idx
-
-
-def time_generation_stage_paths(trace: SyntheticTrace, rounds: int = 1) -> dict:
-    """Best-of-``rounds`` wall time of scalar vs vectorized placement and
-    session packing on one trace's good-event stream.
-
-    The shared measurement harness behind ``repro bench`` and
-    ``benchmarks/test_generate_throughput.py``: both compare the seed's
-    per-event reference implementations against the array-level stages
-    on the same realistic time-sorted stream.  Each path draws from its
-    own named seed, so repeated rounds are deterministic.  Returns the
-    four timings plus the outputs (device arrays, packed times) for
-    statistical-equivalence checks.
-    """
-    import time
-
-    config = trace.config
-    good = trace.errors == 0
-    times = trace.times[good]
-    file_idx = trace.file_ids[good]
-    sizes = trace.sizes[good]
-    is_write = trace.is_write[good]
-    group_keys = _file_dir_array(trace.namespace)[file_idx]
-    seeds = SeedSequenceFactory(config.seed)
-
-    def best_of(fn):
-        best = float("inf")
-        result = None
-        for _ in range(max(rounds, 1)):
-            start = time.perf_counter()
-            result = fn()
-            best = min(best, time.perf_counter() - start)
-        return best, result
-
-    scalar_placement, scalar_devices = best_of(lambda: _assign_devices_scalar(
-        config, trace.lifecycles, trace.namespace, times, file_idx,
-        is_write, sizes, seeds.named("p-scalar"),
-    ))
-    vector_placement, vector_devices = best_of(lambda: _assign_devices(
-        config, trace.lifecycles, trace.namespace, times, file_idx,
-        is_write, sizes, seeds.named("p-vector"),
-    ))
-    scalar_sessions, scalar_packed = best_of(lambda: pack_sessions_scalar(
-        seeds.named("s-scalar"), times, config.sessions, group_keys=group_keys,
-    ))
-    vector_sessions, vector_packed = best_of(lambda: pack_sessions(
-        seeds.named("s-vector"), times, config.sessions, group_keys=group_keys,
-    ))
-    scalar_seconds = scalar_placement + scalar_sessions
-    vector_seconds = vector_placement + vector_sessions
-    return {
-        "n_events": int(times.size),
-        "times": times,
-        "scalar_placement_seconds": scalar_placement,
-        "vector_placement_seconds": vector_placement,
-        "scalar_sessions_seconds": scalar_sessions,
-        "vector_sessions_seconds": vector_sessions,
-        "speedup": (
-            scalar_seconds / vector_seconds if vector_seconds else float("inf")
-        ),
-        "scalar_devices": scalar_devices,
-        "vector_devices": vector_devices,
-        "scalar_packed_times": scalar_packed[0],
-        "vector_packed_times": vector_packed[0],
-    }
 
 
 def _assign_users(

@@ -10,9 +10,6 @@ cold (or if it pre-dates the trace).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
-
 import numpy as np
 
 from repro.trace.record import Device
@@ -27,89 +24,6 @@ _SILO_IDX = np.int8(DEVICE_INDEX[Device.TAPE_SILO])
 _SHELF_IDX = np.int8(DEVICE_INDEX[Device.TAPE_SHELF])
 
 
-@dataclass
-class _FileState:
-    """Mutable per-file placement state during trace generation."""
-
-    on_shelf: bool
-    last_access: float
-
-
-@dataclass
-class DevicePlacement:
-    """Stateful per-reference device assignment.
-
-    Feed references in nondecreasing time order; the placement tracks each
-    tape-class file's recency to decide silo vs shelf.
-    """
-
-    config: PlacementConfig = field(default_factory=PlacementConfig)
-
-    def __post_init__(self) -> None:
-        self._tape_state: Dict[int, _FileState] = {}
-
-    def is_tape_class(self, size: int) -> bool:
-        """True for files the MSS sends straight to tape."""
-        return size >= self.config.disk_threshold_bytes
-
-    def register_preexisting(
-        self, rng: np.random.Generator, file_id: int, size: int
-    ) -> None:
-        """Mark a file that existed before the trace started.
-
-        Old tape files mostly sit on shelved cartridges; a minority are
-        still in the silo from recent activity.
-        """
-        if not self.is_tape_class(size):
-            return
-        on_shelf = bool(rng.random() < self.config.preexisting_shelf_fraction)
-        self._tape_state[file_id] = _FileState(
-            on_shelf=on_shelf, last_access=float("-inf")
-        )
-
-    def assign(
-        self,
-        rng: np.random.Generator,
-        file_id: int,
-        size: int,
-        time: float,
-        is_write: bool,
-    ) -> Device:
-        """Pick the storage level for one reference and update state."""
-        if not self.is_tape_class(size):
-            return Device.MSS_DISK
-
-        state = self._tape_state.get(file_id)
-        if is_write:
-            # Fresh data lands on silo cartridges, rarely on shelf tapes
-            # (special operator-mounted requests).
-            to_shelf = bool(rng.random() < self.config.tape_write_shelf_fraction)
-            self._tape_state[file_id] = _FileState(on_shelf=to_shelf, last_access=time)
-            return Device.TAPE_SHELF if to_shelf else Device.TAPE_SILO
-
-        if state is None:
-            # First sighting is a read: the file pre-dates the trace but was
-            # never registered (defensive path) -- treat as shelved archive.
-            state = _FileState(on_shelf=True, last_access=float("-inf"))
-            self._tape_state[file_id] = state
-
-        if not state.on_shelf:
-            if (time - state.last_access) > self.config.silo_residency:
-                # The silo holds only 6,000 cartridges; inactive ones are
-                # ejected to shelf storage.  A fresh write always lands the
-                # data back on a silo cartridge.
-                state.on_shelf = True
-            else:
-                state.last_access = time
-                return Device.TAPE_SILO
-        # Reading off the shelf sometimes gets the cartridge re-entered
-        # into the silo (hot data the operators expect to be used again).
-        if rng.random() < self.config.promote_on_read:
-            state.on_shelf = False
-            state.last_access = time
-        return Device.TAPE_SHELF
-
-
 def assign_devices_batch(
     rng: np.random.Generator,
     config: PlacementConfig,
@@ -118,14 +32,17 @@ def assign_devices_batch(
     times: np.ndarray,
     is_write: np.ndarray,
 ) -> np.ndarray:
-    """Array-level :class:`DevicePlacement` over a time-sorted stream.
+    """Storage level of every reference in a time-sorted stream.
 
     Returns ``device_idx`` (int8, :data:`DEVICE_INDEX` encoding) for every
-    event.  Statistically equivalent to feeding the stream through
-    :meth:`DevicePlacement.assign` one event at a time -- the per-decision
-    probabilities are identical -- but RNG draws are batched (one block of
-    write-landing coins, one block of promote coins), so the realized
-    stream differs from the scalar path for a fixed seed.
+    event.  Small files stay on disk.  A tape-class write lands on the
+    silo (rarely the shelf); a tape-class read hits the silo while the
+    file was touched within the silo residency, and otherwise comes off
+    the shelf, where the operators sometimes re-enter the cartridge into
+    the silo.  RNG draws are batched (one block of write-landing coins,
+    one block of promote coins); the seed's per-event loop, which draws
+    one coin per decision, survives in the tests as the statistical
+    reference.
 
     The silo/shelf recency machine collapses to a boolean set/reset/hold
     recurrence per file.  With ``expired`` = inter-access gap beyond the
@@ -143,11 +60,10 @@ def assign_devices_batch(
     ``-inf`` is expired), so holds never leak across files and the rare
     promote-chains need no Python loop either.
 
-    Pre-existing tape files need no explicit registration here: their
-    first read has an infinite gap, which lands on the shelf and rolls
-    the promote coin exactly as the scalar path's shelved-archive state
-    does (a registered silo start is ejected on first touch the same
-    way).
+    Pre-existing tape files need no explicit registration: their first
+    read has an infinite gap, which lands on the shelf and rolls the
+    promote coin like any shelved archive (a silo start would be ejected
+    on first touch the same way).
     """
     n = times.size
     device = np.full(n, _DISK_IDX, dtype=np.int8)

@@ -4,8 +4,7 @@ The generator pipeline runs eight named stages (namespace, lifecycles,
 chains, bursts, placement, sessions, errors, latencies, plus the sorts
 between them).  A :class:`StageProfiler` collects one wall-time entry per
 stage so regressions in any single stage are visible without a full
-cProfile run; ``repro report --profile`` and ``repro bench`` print the
-resulting table.
+cProfile run; ``repro report --profile`` prints the resulting table.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ class StageProfiler:
         return sum(self.stages.values())
 
     def render(self, indent: str = "") -> str:
-        """The stage table as printed by ``report --profile`` / ``bench``."""
+        """The stage table as printed by ``report --profile``."""
         if not self.stages:
             return f"{indent}(no stages recorded)"
         total = self.total_seconds

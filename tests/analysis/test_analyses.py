@@ -5,25 +5,27 @@ import pytest
 
 from repro.analysis import (
     directory_distribution,
+    filestore_statistics,
+    static_distribution,
+    weekend_read_dip,
+    working_hours_lift,
+    write_flatness,
+)
+from repro.trace.record import Device, make_read
+from repro.util.units import DAY, HOUR, MB
+from tests.oracles.analysis import (
     dynamic_distribution,
     file_interreference,
-    filestore_statistics,
     hourly_profile,
     latency_distributions,
     overall_statistics,
     rate_series,
     reference_counts,
     secular_series,
-    static_distribution,
     system_interarrivals,
-    weekend_read_dip,
     weekly_profile,
-    working_hours_lift,
-    write_flatness,
 )
-from repro.trace.filters import dedupe_for_file_analysis, strip_errors
-from repro.trace.record import Device, make_read
-from repro.util.units import DAY, HOUR, MB
+from tests.oracles.records import dedupe_for_file_analysis, strip_errors
 
 
 # ---------------------------------------------------------------------------

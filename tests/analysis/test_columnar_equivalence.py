@@ -1,7 +1,7 @@
 """Columnar-vs-record equivalence: every figure/table reduction.
 
-The batch-native analyses must produce the same numbers the legacy
-record walks do.  Integer reductions (counts, byte totals, sample
+The batch-native analyses must produce the same numbers the record
+walks in :mod:`tests.oracles.analysis` do.  Integer reductions (counts, byte totals, sample
 vectors, gaps) are required to match *exactly*; floating means computed
 with numpy instead of streaming Welford updates may differ by rounding
 error, so they are pinned at 1e-12 relative.
@@ -11,39 +11,35 @@ import numpy as np
 import pytest
 
 from repro.analysis.intervals import (
-    file_interreference,
     file_interreference_from_batches,
-    system_interarrivals,
     system_interarrivals_from_batches,
 )
-from repro.analysis.latency import (
-    latency_distributions,
-    latency_distributions_from_batches,
-)
-from repro.analysis.overall import (
-    overall_statistics,
-    overall_statistics_from_batches,
-)
-from repro.analysis.periodicity import rate_series, rate_series_from_batches
+from repro.analysis.latency import latency_distributions_from_batches
+from repro.analysis.overall import overall_statistics_from_batches
+from repro.analysis.periodicity import rate_series_from_batches
 from repro.analysis.rates import (
-    hourly_profile,
     hourly_profile_from_batches,
-    secular_series,
     secular_series_from_batches,
-    weekly_profile,
     weekly_profile_from_batches,
 )
-from repro.analysis.refcounts import (
-    reference_counts,
-    reference_counts_from_batches,
-)
-from repro.analysis.sizes import (
-    dynamic_distribution,
-    dynamic_distribution_from_batches,
-)
+from repro.analysis.refcounts import reference_counts_from_batches
+from repro.analysis.sizes import dynamic_distribution_from_batches
 from repro.core.study import Study, StudyConfig
 from repro.trace.record import Device
 from repro.workload.config import WorkloadConfig
+from tests.oracles import records as study_records
+from tests.oracles.analysis import (
+    dynamic_distribution,
+    file_interreference,
+    hourly_profile,
+    latency_distributions,
+    overall_statistics,
+    rate_series,
+    reference_counts,
+    secular_series,
+    system_interarrivals,
+    weekly_profile,
+)
 
 EXACT = 0.0
 ULPS = 1e-12
@@ -57,12 +53,12 @@ def study(calib_config):
 
 @pytest.fixture(scope="module")
 def good_records(study):
-    return list(study.good_records())
+    return list(study_records.good_records(study))
 
 
 @pytest.fixture(scope="module")
 def deduped_records(study):
-    return list(study.deduped_records())
+    return list(study_records.deduped_records(study))
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +91,7 @@ def test_rate_profiles_identical(study, good_records, record_fn, batch_fn):
 
 
 def test_system_interarrivals_identical(study):
-    expected = system_interarrivals(study.iter_records())
+    expected = system_interarrivals(study_records.iter_records(study))
     measured = system_interarrivals_from_batches(study.iter_batches("raw"))
     np.testing.assert_array_equal(measured.intervals, expected.intervals)
     assert measured.mean == expected.mean
@@ -152,7 +148,7 @@ def test_latency_samples_identical(study, good_records):
 
 
 def test_overall_statistics_identical(study):
-    expected = overall_statistics(study.iter_records()).stats
+    expected = overall_statistics(study_records.iter_records(study)).stats
     measured = overall_statistics_from_batches(study.iter_batches("raw")).stats
     assert measured.raw_references == expected.raw_references
     assert measured.error_counts == expected.error_counts
@@ -173,7 +169,7 @@ def test_overall_statistics_identical(study):
 
 
 def test_table3_comparison_rows_identical(study):
-    expected = overall_statistics(study.iter_records()).comparison()
+    expected = overall_statistics(study_records.iter_records(study)).comparison()
     measured = overall_statistics_from_batches(
         study.iter_batches("raw")
     ).comparison()

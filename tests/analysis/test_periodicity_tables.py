@@ -2,10 +2,6 @@
 
 import pytest
 
-from repro.analysis.periodicity import (
-    analyze_direction,
-    periodicity_comparison,
-)
 from repro.analysis.tables import (
     crossover_size,
     measured_media_behaviour,
@@ -18,6 +14,7 @@ from repro.analysis.tables import (
 )
 from repro.core import paper
 from repro.util.units import MB
+from tests.oracles.analysis import analyze_direction, periodicity_comparison
 
 
 # ---------------------------------------------------------------------------

@@ -65,12 +65,13 @@ def study():
 
 def test_study_lazy_trace(study):
     assert study.trace.n_events > 0
-    assert study.records()  # materializes without DES
+    # The raw stream is the generated trace, no DES replay involved.
+    assert sum(len(b) for b in study.iter_batches("raw")) == study.trace.n_events
 
 
 def test_study_streams(study):
-    good = sum(1 for _ in study.good_records())
-    deduped = sum(1 for _ in study.deduped_records())
+    good = sum(len(b) for b in study.iter_batches("good"))
+    deduped = sum(len(b) for b in study.iter_batches("deduped"))
     assert 0 < deduped < good < study.trace.n_events + 1
 
 
@@ -136,12 +137,9 @@ def test_scenario_study_rejects_des_latencies():
 
 def test_dense_study_runs_des():
     dense = Study(StudyConfig.dense(scale=0.004, seed=7, days=4.0))
-    records = dense.records()
-    assert dense.mss_metrics.total_completed == sum(
-        1 for r in records if not r.is_error
-    )
-    good = [r for r in records if not r.is_error]
-    assert all(r.startup_latency > 0 for r in good)
+    good = list(dense.iter_batches("good"))
+    assert dense.mss_metrics.total_completed == sum(len(b) for b in good)
+    assert all((b.latency > 0).all() for b in good)
 
 
 # ---------------------------------------------------------------------------
@@ -326,22 +324,6 @@ def test_cli_trace_import_clean_errors(tmp_path, capsys):
     assert "already exists" in capsys.readouterr().err
 
 
-def test_cli_bench_prints_stage_profile(capsys):
-    """`repro bench` runs the cold-generation profile outside pytest."""
-    code = main([
-        "bench", "--scale", "0.004", "--days", "7", "--seed", "3",
-        "--rounds", "1",
-    ])
-    assert code == 0
-    printed = capsys.readouterr().out
-    assert "cold generation:" in printed
-    assert "stage profile:" in printed
-    for stage in ("namespace", "chains", "placement", "sessions"):
-        assert stage in printed
-    assert "placement: scalar" in printed
-    assert "sessions: scalar" in printed
-
-
 # ---------------------------------------------------------------------------
 # repro report: determinism, RunRecord, registry listing
 
@@ -367,7 +349,7 @@ def test_cli_report_is_deterministic_and_recorded(tmp_path, capsys):
     from repro.registry.record import load_run_record
 
     args = ["report", "--scale", "0.002", "--days", "60", "--run-dir", str(tmp_path)]
-    bodies, records = [], []
+    bodies, records, tails = [], [], []
     for extra in ([], ["--profile"]):
         started = time.perf_counter()
         assert main(args + extra) == 0
@@ -380,7 +362,14 @@ def test_cli_report_is_deterministic_and_recorded(tmp_path, capsys):
         assert 0 < record.wall_seconds <= elapsed
         bodies.append(body)
         records.append(record)
+        tails.append(tail)
     assert bodies[0] == bodies[1]
+    # --profile prints the wall-time table, with the generator's stages
+    # indented under "generate".
+    assert "profile (wall time):" not in tails[0]
+    assert "profile (wall time):" in tails[1]
+    for stage in ("namespace", "chains", "placement", "sessions"):
+        assert stage in tails[1]
 
     plain, profiled = records
     assert plain.metrics == {}

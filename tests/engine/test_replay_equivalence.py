@@ -2,7 +2,7 @@
 
 ``HSM.replay`` over :class:`EventBatch`es must produce metrics identical
 (exact counts; derived latencies within 1e-9) to pushing the same events
-through the legacy per-tuple path.
+through the per-tuple oracle (:mod:`tests.oracles.hsm`).
 """
 
 import dataclasses
@@ -11,24 +11,29 @@ import pytest
 
 from repro.engine import prepare_stream, replay_policy
 from repro.engine.batch import rechunk
-from repro.hsm.manager import HSM, HSMConfig, events_from_trace
-from repro.migration.opt import OptimalPolicy
+from repro.hsm.manager import HSM, HSMConfig
 from repro.migration.registry import make_policy
+from tests.oracles.hsm import (
+    EventCache,
+    EventHSM,
+    events_from_trace,
+    opt_from_events,
+)
 
 POLICIES = ("lru", "stp", "saac", "fifo", "mru", "largest-first", "opt")
 
 
 def run_per_tuple(events, policy_name, capacity, namespace=None,
                   writeback_delay=4 * 3600.0, prefetch=False):
-    """The per-tuple oracle: ``HSM.run`` over ``events_from_trace`` tuples."""
+    """The per-tuple oracle: ``EventHSM.run`` over ``events_from_trace`` tuples."""
     if policy_name == "opt":
-        policy = OptimalPolicy.from_events((fid, t) for fid, _, t, _ in events)
+        policy = opt_from_events((fid, t) for fid, _, t, _ in events)
     else:
         policy = make_policy(policy_name)
     config = HSMConfig.with_capacity(
         capacity, writeback_delay=writeback_delay, prefetch=prefetch
     )
-    return HSM(config, policy, namespace=namespace).run(events)
+    return EventHSM(config, policy, namespace=namespace).run(events)
 
 
 @pytest.fixture(scope="module")
@@ -62,13 +67,16 @@ def test_equivalence_with_eager_writeback(tiny_trace, streams):
 def test_equivalence_with_prefetch(tiny_trace, streams):
     events, batches = streams
     capacity = int(tiny_trace.namespace.total_bytes * 0.03)
-    legacy = run_per_tuple(
-        events, "stp", capacity, namespace=tiny_trace.namespace, prefetch=True
-    )
-    engine = replay_policy(
-        batches, "stp", capacity, namespace=tiny_trace.namespace, prefetch=True
-    )
-    assert dataclasses.asdict(legacy) == dataclasses.asdict(engine)
+    for policy in ("stp", "lru", "opt", "random", "largest-first"):
+        legacy = run_per_tuple(
+            events, policy, capacity, namespace=tiny_trace.namespace,
+            prefetch=True,
+        )
+        engine = replay_policy(
+            batches, policy, capacity, namespace=tiny_trace.namespace,
+            prefetch=True,
+        )
+        assert dataclasses.asdict(legacy) == dataclasses.asdict(engine), policy
 
 
 def test_chunk_size_does_not_change_metrics(tiny_trace, streams):
@@ -86,12 +94,12 @@ def _drive_both(stream, expect_error=False):
     from repro.hsm.cache import CacheConfig, ManagedDiskCache
     from repro.migration.basic import LRUPolicy
 
-    def build():
-        return ManagedDiskCache(CacheConfig(capacity_bytes=100), LRUPolicy())
+    def build(cls):
+        return cls(CacheConfig(capacity_bytes=100), LRUPolicy())
 
     columns = [list(col) for col in zip(*stream)]
-    batch_cache = build()
-    event_cache = build()
+    batch_cache = build(ManagedDiskCache)
+    event_cache = build(EventCache)
     if expect_error:
         with pytest.raises(ValueError):
             batch_cache.access_batch(*columns)

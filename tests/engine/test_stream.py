@@ -16,8 +16,8 @@ from repro.engine.stream import (
     prepare_batch,
     strip_errors,
 )
-from repro.hsm.manager import events_from_trace
-from repro.trace.filters import dedupe_for_file_analysis
+from tests.oracles.hsm import events_from_trace
+from tests.oracles.records import dedupe_for_file_analysis
 
 
 def test_strip_errors_drops_failed_rows():

@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 from repro.hsm.cache import CacheConfig, ManagedDiskCache
 from repro.migration.basic import LRUPolicy
 from repro.migration.stp import stp_14
+from tests.oracles.hsm import EventCache
 
 
-def _cache(capacity=1000, writeback_delay=100.0, policy=None, **kwargs):
+def _cache(capacity=1000, writeback_delay=100.0, policy=None,
+           cls=EventCache, **kwargs):
     config = CacheConfig(
         capacity_bytes=capacity, writeback_delay=writeback_delay, **kwargs
     )
-    return ManagedDiskCache(config, policy or LRUPolicy())
+    return cls(config, policy or LRUPolicy())
 
 
 def test_config_validation():
@@ -184,7 +186,8 @@ def test_access_batch_split_matches_per_event():
     per-event metrics and state (the split path is semantics-preserving)."""
     stream = _mixed_stream()
     columns = [list(col) for col in zip(*stream)]
-    batch_cache = _cache(capacity=1000, writeback_delay=50.0)
+    batch_cache = _cache(capacity=1000, writeback_delay=50.0,
+                         cls=ManagedDiskCache)
     event_cache = _cache(capacity=1000, writeback_delay=50.0)
     batch_cache.access_batch(*columns)
     for fid, size, time, write in stream:
@@ -197,16 +200,20 @@ def test_access_batch_split_matches_per_event():
 
 
 def test_access_batch_split_keeps_fast_path_for_clean_spans(monkeypatch):
-    """Only the degenerate events drop to per-event handling: the clean
-    spans must run the buffered fast loop, not the scalar `_read` path."""
+    """Only the degenerate events are handled one at a time: each clean
+    span between them runs the buffered fast loop whole."""
+    spans = []
+    fast = ManagedDiskCache._access_batch_fast
 
-    def _fail_read(self, *args, **kwargs):
-        raise AssertionError("clean events fell back to the scalar path")
+    def _record_span(self, file_ids, *rest):
+        spans.append(len(file_ids))
+        return fast(self, file_ids, *rest)
 
-    monkeypatch.setattr(ManagedDiskCache, "_read", _fail_read)
-    cache = _cache(capacity=1000, writeback_delay=None)
+    monkeypatch.setattr(ManagedDiskCache, "_access_batch_fast", _record_span)
+    cache = _cache(capacity=1000, writeback_delay=None, cls=ManagedDiskCache)
     stream = _mixed_stream()
     cache.access_batch(*[list(col) for col in zip(*stream)])
+    assert spans == [40, 40, 20]
     assert cache.metrics.reads > 0
     assert cache.metrics.bypassed_reads == 1
 
@@ -214,7 +221,7 @@ def test_access_batch_split_keeps_fast_path_for_clean_spans(monkeypatch):
 def test_access_batch_split_raises_on_bad_size_after_prefix():
     """A nonpositive size raises exactly where the per-event path would,
     with every earlier event (including a clean span) already applied."""
-    cache = _cache(capacity=1000, writeback_delay=None)
+    cache = _cache(capacity=1000, writeback_delay=None, cls=ManagedDiskCache)
     with pytest.raises(ValueError, match="size must be positive"):
         cache.access_batch(
             [1, 2, 3], [10, -5, 20], [0.0, 1.0, 2.0], [True, False, False]

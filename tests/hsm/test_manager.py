@@ -6,11 +6,12 @@ import pytest
 
 from repro.engine import capacity_sweep_batches, prepare_stream, replay_policy
 from repro.engine.batch import EventBatch
-from repro.hsm.manager import HSM, HSMConfig, events_from_trace
+from repro.hsm.manager import HSM, HSMConfig
 from repro.hsm.metrics import HSMMetrics
 from repro.hsm.prefetch import PrefetchConfig, SequentialPrefetcher
 from repro.migration.basic import LRUPolicy
 from repro.util.units import DAY
+from tests.oracles.hsm import EventHSM, events_from_trace
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +97,7 @@ def _synthetic_events():
 def test_hsm_run_accumulates():
     events = _synthetic_events()
     config = HSMConfig.with_capacity(capacity_bytes=10_000)
-    hsm = HSM(config, LRUPolicy())
+    hsm = EventHSM(config, LRUPolicy())
     metrics = hsm.run(events)
     assert metrics.reads + metrics.writes == len(events)
     assert metrics.read_miss_ratio < 0.5   # plenty of reuse and room
@@ -128,17 +129,25 @@ class _OneDirectory:
 
 def test_prefetch_evictions_cancel_outstanding_prefetches():
     """A prefetched file that a later prefetch evicts is no longer a
-    prefetch: staged again by a demand miss, its next read is no hit."""
-    hsm = HSM(HSMConfig.with_capacity(40, prefetch=True), LRUPolicy(),
-              namespace=_OneDirectory())
+    prefetch: staged again by a demand miss, its next read is no hit.
+    Holds on the batch kernel (``HSM.feed``) and the per-event oracle."""
+    config = HSMConfig.with_capacity(40, prefetch=True)
     # 0 misses and prefetches 1, 2; 5's prefetches of 6, 7 evict 1, 2;
     # 1 misses (demand-staged, prefetching 2, 3); then 1 and 2 hit, and
     # only 2 was staged by a prefetch.
-    for time, file_id in enumerate([0, 5, 1, 1, 2]):
-        hsm.handle((file_id, 10, float(time), False))
-    assert hsm.metrics.prefetches_issued == 6
-    assert hsm.metrics.read_hits == 2
-    assert hsm.metrics.prefetch_hits == 1
+    events = [
+        (file_id, 10, float(time), False)
+        for time, file_id in enumerate([0, 5, 1, 1, 2])
+    ]
+    fed = HSM(config, LRUPolicy(), namespace=_OneDirectory())
+    fed.feed(EventBatch.from_columns(*zip(*events)))
+    handled = EventHSM(config, LRUPolicy(), namespace=_OneDirectory())
+    for event in events:
+        handled.handle(event)
+    for hsm in (fed, handled):
+        assert hsm.metrics.prefetches_issued == 6
+        assert hsm.metrics.read_hits == 2
+        assert hsm.metrics.prefetch_hits == 1
 
 
 def test_events_from_trace_structure(tiny_trace):

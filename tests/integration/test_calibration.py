@@ -9,26 +9,28 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    dynamic_distribution,
-    file_interreference,
-    hourly_profile,
-    overall_statistics,
     read_growth_factor,
-    reference_counts,
-    secular_series,
     weekend_read_dip,
-    weekly_profile,
     working_hours_lift,
     write_flatness,
 )
 from repro.core import paper
-from repro.trace.filters import (
+from repro.trace.record import Device
+from repro.util.units import DAY, MB
+from tests.oracles.analysis import (
+    dynamic_distribution,
+    file_interreference,
+    hourly_profile,
+    overall_statistics,
+    reference_counts,
+    secular_series,
+    weekly_profile,
+)
+from tests.oracles.records import (
     dedupe_for_file_analysis,
     fraction_rereferenced_within,
     strip_errors,
 )
-from repro.trace.record import Device
-from repro.util.units import DAY, MB
 
 
 @pytest.fixture(scope="module")

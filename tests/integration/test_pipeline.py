@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import from_metrics, system_interarrivals
+from repro.analysis import from_metrics, system_interarrivals_from_batches
 from repro.core import paper
 from repro.mss.system import MSSConfig, replay_trace
 from repro.trace.reader import read_trace
@@ -14,14 +14,16 @@ from repro.workload.generator import generate_trace
 
 
 def test_generate_write_read_analyze_roundtrip(tmp_path, tiny_trace):
-    """Trace -> file -> records -> statistics, end to end."""
-    from repro.analysis import overall_statistics
+    """Trace -> file -> records -> statistics, end to end (the path
+    ``repro analyze FILE`` takes)."""
+    from repro.analysis import overall_statistics_from_batches
+    from repro.trace.store import batches_from_records
 
     path = tmp_path / "roundtrip.rt"
     tiny_trace.write(path)
     records = read_trace(path)
     assert len(records) == tiny_trace.n_events
-    stats = overall_statistics(records).stats
+    stats = overall_statistics_from_batches(batches_from_records(records)).stats
     assert stats.analyzed_references > 0
     assert stats.error_fraction == pytest.approx(0.0476, abs=0.01)
 
@@ -56,15 +58,15 @@ def test_des_replay_of_dense_trace_matches_paper_latencies(dense_trace):
 
 
 def test_dense_trace_interarrival_clustering(dense_trace):
-    analysis = system_interarrivals(dense_trace.records())
+    analysis = system_interarrivals_from_batches(dense_trace.iter_batches())
     # Figure 7: 90 % of interarrivals under 10 s at full density.
     assert analysis.fraction_below(10.0) > 0.75
 
 
 def test_hsm_over_des_consistency(tiny_trace):
     """HSM events derived from the trace agree with direct counting."""
-    from repro.hsm import events_from_trace
-    from repro.trace.filters import dedupe_for_file_analysis, strip_errors
+    from tests.oracles.hsm import events_from_trace
+    from tests.oracles.records import dedupe_for_file_analysis, strip_errors
 
     events = events_from_trace(tiny_trace)
     deduped = list(dedupe_for_file_analysis(strip_errors(tiny_trace.iter_records())))

@@ -16,6 +16,7 @@ from repro.migration.registry import available_policies, make_policy, register_p
 from repro.migration.saac import SAACPolicy
 from repro.migration.stp import SpaceTimePolicy, classic_stp, stp_14
 from repro.util.units import DAY
+from tests.oracles.hsm import opt_from_events
 
 
 def _loaded(policy: MigrationPolicy):
@@ -199,7 +200,7 @@ def test_opt_next_reference_after():
 
 
 def test_opt_from_events():
-    policy = OptimalPolicy.from_events([(1, 30.0), (1, 10.0), (2, 5.0)])
+    policy = opt_from_events([(1, 30.0), (1, 10.0), (2, 5.0)])
     assert policy.next_reference_after(1, 0.0) == 10.0
 
 

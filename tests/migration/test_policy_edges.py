@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.hsm.cache import CacheConfig, ManagedDiskCache
+from repro.hsm.cache import CacheConfig
 from repro.migration.basic import LRUPolicy
 from repro.migration.opt import NEVER, OptimalPolicy
 from repro.migration.policy import MigrationPolicy
 from repro.migration.saac import SAACPolicy
+from tests.oracles.hsm import EventCache
 
 
 # ---------------------------------------------------------------------------
@@ -16,7 +17,7 @@ from repro.migration.saac import SAACPolicy
 def test_insert_larger_than_remaining_capacity_evicts_enough():
     """Staging a file bigger than the free space (but smaller than the
     cache) must evict residents until it physically fits."""
-    cache = ManagedDiskCache(
+    cache = EventCache(
         CacheConfig(capacity_bytes=100, high_watermark=1.0, low_watermark=1.0),
         LRUPolicy(),
     )
@@ -35,7 +36,7 @@ def test_insert_larger_than_remaining_capacity_evicts_enough():
 def test_file_larger_than_cache_bypasses():
     """A file bigger than the managed disk moves Cray<->tape directly:
     it counts as traffic but never becomes resident or evicts anyone."""
-    cache = ManagedDiskCache(CacheConfig(capacity_bytes=100), LRUPolicy())
+    cache = EventCache(CacheConfig(capacity_bytes=100), LRUPolicy())
     cache.access(7, size=50, time=0.0, is_write=False)
 
     outcome = cache.access(1, size=101, time=1.0, is_write=False)
@@ -58,7 +59,7 @@ def test_file_larger_than_cache_bypasses():
 def test_eviction_protects_incoming_file():
     """The incoming file is never its own victim, even when it displaces
     everything else on the disk."""
-    cache = ManagedDiskCache(
+    cache = EventCache(
         CacheConfig(capacity_bytes=100, high_watermark=1.0, low_watermark=1.0),
         LRUPolicy(),
     )

@@ -1,4 +1,4 @@
-"""Record-stream filters used by the analyses.
+"""Record-stream filters and a study's record views.
 
 The paper applies two systematic filters:
 
@@ -7,47 +7,24 @@ The paper applies two systematic filters:
 * the eight-hour dedupe of Section 5.3 ("this part of the analysis included
   at most one read and one write from any eight hour period" per file),
   which removes re-requests issued by batch scripts within one working day.
+
+:mod:`repro.engine.stream` applies both to batch streams; these are the
+record walks it is checked against.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, Tuple
 
-from repro.trace.record import Device, TraceRecord
-from repro.util.units import HOUR
-
-EIGHT_HOURS = 8 * HOUR
+from repro.core.study import Study
+from repro.engine.records import records_from_batches
+from repro.engine.stream import EIGHT_HOURS
+from repro.trace.record import TraceRecord
 
 
 def strip_errors(records: Iterable[TraceRecord]) -> Iterator[TraceRecord]:
     """Drop failed references (the paper's first filtering step)."""
     return (r for r in records if not r.is_error)
-
-
-def only_errors(records: Iterable[TraceRecord]) -> Iterator[TraceRecord]:
-    """Keep only failed references (for error-rate accounting)."""
-    return (r for r in records if r.is_error)
-
-
-def by_direction(
-    records: Iterable[TraceRecord], is_write: bool
-) -> Iterator[TraceRecord]:
-    """Keep only reads (``is_write=False``) or only writes."""
-    return (r for r in records if r.is_write == is_write)
-
-
-def by_device(
-    records: Iterable[TraceRecord], device: Device
-) -> Iterator[TraceRecord]:
-    """Keep references touching one MSS storage level."""
-    return (r for r in records if r.storage_device == device)
-
-
-def time_slice(
-    records: Iterable[TraceRecord], start: float, end: float
-) -> Iterator[TraceRecord]:
-    """Keep references with start time in ``[start, end)``."""
-    return (r for r in records if start <= r.start_time < end)
 
 
 def dedupe_for_file_analysis(
@@ -109,3 +86,22 @@ def fraction_rereferenced_within(
     if total == 0:
         raise ValueError("empty record stream")
     return within / total
+
+
+# ---------------------------------------------------------------------------
+# A study's record views (the raw, error-stripped and deduped streams)
+
+
+def iter_records(study: Study) -> Iterator[TraceRecord]:
+    """Lazy record view of the study's (possibly replayed) raw stream."""
+    return records_from_batches(study.iter_batches("raw"), study.trace.namespace)
+
+
+def good_records(study: Study) -> Iterator[TraceRecord]:
+    """Successful references only (record view of ``"good"``)."""
+    return strip_errors(iter_records(study))
+
+
+def deduped_records(study: Study) -> Iterator[TraceRecord]:
+    """The Section 5.3 stream (record view of ``"deduped"``)."""
+    return dedupe_for_file_analysis(good_records(study))

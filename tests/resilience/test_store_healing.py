@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import SweepConfig, quarantine_slot, run_sweep
-from repro.engine.store import open_or_generate, store_dir_for
+from repro.engine.store import StoreError, open_or_generate, store_dir_for
 from repro.workload.config import WorkloadConfig
 from repro.util.units import DAY
 from tests.resilience.faults import delete_shard, flip_shard_byte, truncate_shard
@@ -62,19 +62,15 @@ def test_missing_shard_slot_quarantined_and_regenerated(tmp_path):
 
 
 def test_bit_rot_needs_deep_check(tmp_path):
-    """A flipped byte keeps the size: light validation passes, deep heals."""
+    """A flipped byte keeps the size: the light validation of a cache hit
+    keeps the slot, and only the deep check (``trace verify``) sees it."""
     store = open_or_generate(TINY, tmp_path, variant="hsm")
     flip_shard_byte(store.path)
 
     assert open_or_generate(TINY, tmp_path, variant="hsm").path == store.path
     assert not _quarantines(tmp_path, store.path)
-
-    healed = open_or_generate(TINY, tmp_path, variant="hsm", check="deep")
-    healed.verify()
-    assert len(_quarantines(tmp_path, store.path)) == 1
-
-    with pytest.raises(ValueError, match="check level"):
-        open_or_generate(TINY, tmp_path, variant="hsm", check="paranoid")
+    with pytest.raises(StoreError, match="checksum mismatch"):
+        store.verify()
 
 
 def test_quarantine_retention_is_bounded(tmp_path):

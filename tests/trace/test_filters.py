@@ -1,20 +1,17 @@
-"""Filter tests: error stripping, dedupe modes, the 8-hour statistic."""
+"""Record-filter oracle tests: error stripping, dedupe modes, the 8-hour
+statistic (:mod:`tests.oracles.records`)."""
 
 import pytest
 
+from repro.engine.stream import EIGHT_HOURS
 from repro.trace.errors import ErrorKind
-from repro.trace.filters import (
-    EIGHT_HOURS,
-    by_device,
-    by_direction,
-    dedupe_for_file_analysis,
-    fraction_rereferenced_within,
-    only_errors,
-    strip_errors,
-    time_slice,
-)
 from repro.trace.record import Device, make_read, make_write
 from repro.util.units import HOUR
+from tests.oracles.records import (
+    dedupe_for_file_analysis,
+    fraction_rereferenced_within,
+    strip_errors,
+)
 
 
 def _read(t, path="/f", error=ErrorKind.NONE):
@@ -26,28 +23,10 @@ def _write(t, path="/f"):
 
 
 def test_strip_and_only_errors():
+    """The strip drops the failed reference, and only that one."""
     records = [_read(0), _read(1, error=ErrorKind.NO_SUCH_FILE), _read(2)]
-    assert len(list(strip_errors(records))) == 2
-    assert len(list(only_errors(records))) == 1
-
-
-def test_by_direction():
-    records = [_read(0), _write(1), _read(2)]
-    assert len(list(by_direction(records, is_write=True))) == 1
-    assert len(list(by_direction(records, is_write=False))) == 2
-
-
-def test_by_device():
-    records = [
-        _read(0),
-        make_read(Device.TAPE_SILO, 1, 100, "/g", 1),
-    ]
-    assert len(list(by_device(records, Device.TAPE_SILO))) == 1
-
-
-def test_time_slice():
-    records = [_read(0), _read(10), _read(20)]
-    assert [r.start_time for r in time_slice(records, 5, 20)] == [10]
+    kept = list(strip_errors(records))
+    assert kept == [records[0], records[2]]
 
 
 def test_dedupe_block_mode_keeps_one_per_block():

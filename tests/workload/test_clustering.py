@@ -132,7 +132,7 @@ def test_pack_sessions_long_sessions_never_spill_their_hour():
     edge must be clamped inside it -- the "events keep their hour"
     contract protects Figures 4-6.  This config forces multi-minute
     sessions (the scalar reference spills thousands of events on it)."""
-    from repro.workload.clustering import pack_sessions_scalar
+    from tests.oracles.generator import pack_sessions_scalar
 
     config = SessionConfig(
         mean_session_length=400.0, intra_gap_mean=30.0, intra_gap_cap=60.0
@@ -150,7 +150,7 @@ def test_pack_sessions_long_sessions_never_spill_their_hour():
 def test_pack_sessions_statistics_match_scalar_reference():
     """Session sizes (geometric) and intra-session gap shape agree with
     the per-hour-bin reference implementation within sampling noise."""
-    from repro.workload.clustering import pack_sessions_scalar
+    from tests.oracles.generator import pack_sessions_scalar
 
     config = SessionConfig()
     times = np.sort(make_rng(22).uniform(0, 48 * HOUR, size=30_000))

@@ -167,18 +167,17 @@ def test_generator_version_is_3():
 def test_stage_profiler_records_every_stage():
     from repro.workload.profiler import StageProfiler
 
-    profiler = StageProfiler()
-    trace = generate_trace(
-        WorkloadConfig(scale=0.002, seed=5), profiler=profiler
-    )
+    trace = generate_trace(WorkloadConfig(scale=0.002, seed=5))
     expected = {
         "namespace", "lifecycles", "chains", "bursts", "placement",
         "sessions", "users", "errors", "latencies",
     }
-    assert set(profiler.stages) == expected
-    assert all(seconds >= 0 for seconds in profiler.stages.values())
-    # The trace carries the same table for report/bench surfacing.
-    assert trace.stage_seconds == profiler.stages
+    assert set(trace.stage_seconds) == expected
+    assert all(seconds >= 0 for seconds in trace.stage_seconds.values())
+    # The table `report --profile` renders from the trace's stages.
+    profiler = StageProfiler()
+    for name, seconds in trace.stage_seconds.items():
+        profiler.add(name, seconds)
     rendered = profiler.render(indent="  ")
     assert "chains" in rendered and "total" in rendered
 

@@ -19,11 +19,8 @@ from repro.trace.record import Device
 from repro.util.rng import make_rng
 from repro.util.units import DAY, MB
 from repro.workload.config import PlacementConfig
-from repro.workload.placement import (
-    DEVICE_INDEX,
-    DevicePlacement,
-    assign_devices_batch,
-)
+from repro.workload.placement import DEVICE_INDEX, assign_devices_batch
+from tests.oracles.generator import DevicePlacement
 
 DISK = DEVICE_INDEX[Device.MSS_DISK]
 SILO = DEVICE_INDEX[Device.TAPE_SILO]

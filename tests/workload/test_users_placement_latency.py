@@ -8,8 +8,8 @@ from repro.util.rng import make_rng
 from repro.util.units import DAY, MB
 from repro.workload.config import PlacementConfig
 from repro.workload.latency import AnalyticLatencyModel
-from repro.workload.placement import DevicePlacement
 from repro.workload.users import UserPopulation
+from tests.oracles.generator import DevicePlacement
 
 
 # ---------------------------------------------------------------------------
